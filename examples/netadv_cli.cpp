@@ -55,7 +55,6 @@
 #include "exp/scheduler.hpp"
 #include "exp/spool.hpp"
 #include "rl/kernels.hpp"
-#include "rl/mlp.hpp"
 #include "serve/engine.hpp"
 #include "trace/generators.hpp"
 #include "trace/mahimahi.hpp"
@@ -506,8 +505,6 @@ int cmd_info(const std::vector<std::string>& args) {
        kr::Backend::kAvx2},
       {"avx512", kr::avx512_compiled(), kr::avx512_runtime_supported(),
        kr::Backend::kAvx512},
-      {"neon", kr::neon_compiled(), kr::neon_runtime_supported(),
-       kr::Backend::kNeon},
   };
   for (const auto& row : rows) {
     std::printf("  %-8s %-3s / %-3s / %-3s%s\n", row.name,
@@ -521,11 +518,6 @@ int cmd_info(const std::vector<std::string>& args) {
   std::printf("NETADV_THREADS   %s -> %zu lanes\n",
               threads_env ? threads_env : "(unset, hardware)",
               util::ThreadPool::default_thread_count());
-  std::printf("NETADV_F32_ROLLOUT %s -> fp32 rollout default %s\n",
-              std::getenv("NETADV_F32_ROLLOUT")
-                  ? std::getenv("NETADV_F32_ROLLOUT")
-                  : "(unset)",
-              rl::f32_rollout_env_default() ? "on" : "off");
   return 0;
 }
 

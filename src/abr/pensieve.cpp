@@ -150,7 +150,7 @@ rl::PpoAgent make_pensieve_agent(const VideoManifest& manifest,
                       config, seed};
 }
 
-PensievePolicy::PensievePolicy(rl::Agent& agent, std::string name)
+PensievePolicy::PensievePolicy(rl::PpoAgent& agent, std::string name)
     : agent_(&agent), name_(std::move(name)) {}
 
 void PensievePolicy::begin_video(const VideoManifest& manifest) {

@@ -46,22 +46,18 @@ std::size_t size_param(const JobContext& ctx, const std::string& key,
                        std::size_t fallback) {
   const std::string* value = ctx.job->find(key);
   if (value == nullptr) return fallback;
-  try {
-    return static_cast<std::size_t>(std::stoull(*value));
-  } catch (const std::exception&) {
-    job_fail(ctx, key + " is not an integer: '" + *value + "'");
+  if (const auto parsed = util::parse_u64(*value)) {
+    return static_cast<std::size_t>(*parsed);
   }
+  job_fail(ctx, key + " is not a non-negative integer: '" + *value + "'");
 }
 
 double double_param(const JobContext& ctx, const std::string& key,
                     double fallback) {
   const std::string* value = ctx.job->find(key);
   if (value == nullptr) return fallback;
-  try {
-    return std::stod(*value);
-  } catch (const std::exception&) {
-    job_fail(ctx, key + " is not a number: '" + *value + "'");
-  }
+  if (const auto parsed = util::parse_finite(*value)) return *parsed;
+  job_fail(ctx, key + " is not a finite number: '" + *value + "'");
 }
 
 /// Corpus sizes scale down with NETADV_SCALE like bench_common's trace
@@ -127,11 +123,16 @@ std::string publish_checkpoint(const JobContext& ctx, const std::string& name,
     job_fail(ctx, "store_name needs store_version = <integer> (explicit so "
                   "re-runs republish the same immutable slot)");
   }
+  const auto slot = util::parse_u64(*version);
+  if (!slot) {
+    job_fail(ctx, "store_version is not a non-negative integer: '" +
+                      *version + "'");
+  }
   try {
     core::CheckpointStore store{store_root(ctx)};
     return store
-        .put(name, static_cast<std::uint64_t>(std::stoull(*version)), kind,
-             source, ctx.campaign->name + "/" + ctx.job->id)
+        .put(name, *slot, kind, source,
+             ctx.campaign->name + "/" + ctx.job->id)
         .path;
   } catch (const std::exception& e) {
     job_fail(ctx, e.what());

@@ -1,9 +1,8 @@
 // Scalar reference implementation of the canonical accumulation orders
 // (see kernels.hpp) plus the runtime backend dispatch. This TU is compiled
 // without ISA-specific flags so the binary runs on any x86-64 (or non-x86)
-// host; std::fma / std::fmaf are correctly rounded everywhere, which is what
-// makes the scalar path bit-identical to the fused-multiply-add hardware
-// backends.
+// host; std::fma is correctly rounded everywhere, which is what makes the
+// scalar path bit-identical to the fused-multiply-add hardware backends.
 #include "rl/kernels.hpp"
 
 #include <atomic>
@@ -31,19 +30,6 @@ inline double dot_canonical(const double* a, const double* b,
   return (lane[0] + lane[1]) + (lane[2] + lane[3]);
 }
 
-/// Canonical float dot product: kLanesF32 interleaved fmaf partial sums,
-/// combined as ((l0+l1)+(l2+l3)) + ((l4+l5)+(l6+l7)). The single source of
-/// truth for the fp32 accumulation order.
-inline float dot_canonical_f32(const float* a, const float* b,
-                               std::size_t n) noexcept {
-  float lane[kLanesF32] = {0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f, 0.0f};
-  for (std::size_t i = 0; i < n; ++i) {
-    lane[i % kLanesF32] = std::fmaf(a[i], b[i], lane[i % kLanesF32]);
-  }
-  return ((lane[0] + lane[1]) + (lane[2] + lane[3])) +
-         ((lane[4] + lane[5]) + (lane[6] + lane[7]));
-}
-
 }  // namespace
 
 namespace scalar {
@@ -60,18 +46,6 @@ void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
   }
 }
 
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == cols);
-  assert(b.size() == rows);
-  assert(y.size() == rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    y[r] = b[r] + dot_canonical_f32(w.data() + r * cols, x.data(), cols);
-  }
-}
-
 void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
           std::span<const double> x, std::size_t batch,
           std::span<const double> b, std::span<double> y) {
@@ -84,22 +58,6 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
     double* yn = y.data() + n * rows;
     for (std::size_t r = 0; r < rows; ++r) {
       yn[r] = b[r] + dot_canonical(w.data() + r * cols, xn, cols);
-    }
-  }
-}
-
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y) {
-  assert(w.size() == rows * cols);
-  assert(x.size() == batch * cols);
-  assert(b.size() == rows);
-  assert(y.size() == batch * rows);
-  for (std::size_t n = 0; n < batch; ++n) {
-    const float* xn = x.data() + n * cols;
-    float* yn = y.data() + n * rows;
-    for (std::size_t r = 0; r < rows; ++r) {
-      yn[r] = b[r] + dot_canonical_f32(w.data() + r * cols, xn, cols);
     }
   }
 }
@@ -140,11 +98,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
   return dot_canonical(a.data(), b.data(), a.size());
 }
 
-float dot(std::span<const float> a, std::span<const float> b) {
-  assert(a.size() == b.size());
-  return dot_canonical_f32(a.data(), b.data(), a.size());
-}
-
 }  // namespace scalar
 
 // Builds that compile a backend TU out keep its namespace linkable so tests
@@ -156,19 +109,9 @@ float dot(std::span<const float> a, std::span<const float> b) {
             std::span<double> y) {                                            \
     scalar::gemv(w, rows, cols, x, b, y);                                     \
   }                                                                           \
-  void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,     \
-            std::span<const float> x, std::span<const float> b,               \
-            std::span<float> y) {                                             \
-    scalar::gemv(w, rows, cols, x, b, y);                                     \
-  }                                                                           \
   void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,    \
             std::span<const double> x, std::size_t batch,                     \
             std::span<const double> b, std::span<double> y) {                 \
-    scalar::gemm(w, rows, cols, x, batch, b, y);                              \
-  }                                                                           \
-  void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,     \
-            std::span<const float> x, std::size_t batch,                      \
-            std::span<const float> b, std::span<float> y) {                   \
     scalar::gemm(w, rows, cols, x, batch, b, y);                              \
   }                                                                           \
   void gemv_transposed(std::span<const double> w, std::size_t rows,           \
@@ -181,9 +124,6 @@ float dot(std::span<const float> a, std::span<const float> b) {
     scalar::rank1_update(w, rows, cols, g, x);                                \
   }                                                                           \
   double dot(std::span<const double> a, std::span<const double> b) {          \
-    return scalar::dot(a, b);                                                 \
-  }                                                                           \
-  float dot(std::span<const float> a, std::span<const float> b) {             \
     return scalar::dot(a, b);                                                 \
   }
 
@@ -199,12 +139,6 @@ NETADV_KERNEL_SCALAR_FORWARDS
 }  // namespace avx512
 #endif  // !NETADV_HAVE_AVX512
 
-#ifndef NETADV_HAVE_NEON
-namespace neon {
-NETADV_KERNEL_SCALAR_FORWARDS
-}  // namespace neon
-#endif  // !NETADV_HAVE_NEON
-
 #undef NETADV_KERNEL_SCALAR_FORWARDS
 
 bool avx2_compiled() noexcept {
@@ -217,14 +151,6 @@ bool avx2_compiled() noexcept {
 
 bool avx512_compiled() noexcept {
 #ifdef NETADV_HAVE_AVX512
-  return true;
-#else
-  return false;
-#endif
-}
-
-bool neon_compiled() noexcept {
-#ifdef NETADV_HAVE_NEON
   return true;
 #else
   return false;
@@ -250,14 +176,6 @@ bool avx512_runtime_supported() noexcept {
 #endif
 }
 
-bool neon_runtime_supported() noexcept {
-#if defined(__aarch64__)
-  return true;  // Advanced SIMD is baseline on AArch64.
-#else
-  return false;
-#endif
-}
-
 bool backend_available(Backend backend) noexcept {
   switch (backend) {
     case Backend::kScalar:
@@ -266,8 +184,6 @@ bool backend_available(Backend backend) noexcept {
       return avx2_compiled() && avx2_runtime_supported();
     case Backend::kAvx512:
       return avx512_compiled() && avx512_runtime_supported();
-    case Backend::kNeon:
-      return neon_compiled() && neon_runtime_supported();
   }
   return false;
 }
@@ -275,7 +191,6 @@ bool backend_available(Backend backend) noexcept {
 Backend best_backend() noexcept {
   if (backend_available(Backend::kAvx512)) return Backend::kAvx512;
   if (backend_available(Backend::kAvx2)) return Backend::kAvx2;
-  if (backend_available(Backend::kNeon)) return Backend::kNeon;
   return Backend::kScalar;
 }
 
@@ -287,8 +202,6 @@ const char* backend_name(Backend backend) noexcept {
       return "avx2";
     case Backend::kAvx512:
       return "avx512";
-    case Backend::kNeon:
-      return "neon";
   }
   return "scalar";
 }
@@ -301,9 +214,7 @@ Backend resolve_initial_backend() noexcept {
   const struct {
     const char* name;
     Backend backend;
-  } forced[] = {{"avx2", Backend::kAvx2},
-                {"avx512", Backend::kAvx512},
-                {"neon", Backend::kNeon}};
+  } forced[] = {{"avx2", Backend::kAvx2}, {"avx512", Backend::kAvx512}};
   for (const auto& f : forced) {
     if (env == nullptr || std::strcmp(env, f.name) != 0) continue;
     if (!backend_available(f.backend)) {
@@ -316,10 +227,6 @@ Backend resolve_initial_backend() noexcept {
         case Backend::kAvx512:
           compiled = avx512_compiled();
           cpu_ok = avx512_runtime_supported();
-          break;
-        case Backend::kNeon:
-          compiled = neon_compiled();
-          cpu_ok = neon_runtime_supported();
           break;
         case Backend::kScalar:
           break;
@@ -339,8 +246,8 @@ Backend resolve_initial_backend() noexcept {
   if (env != nullptr && std::strcmp(env, "auto") != 0 &&
       std::strcmp(env, "") != 0) {
     util::log_warn(
-        "NETADV_SIMD='%s' not recognized (off | avx2 | avx512 | neon | "
-        "auto); using auto",
+        "NETADV_SIMD='%s' not recognized (off | avx2 | avx512 | auto); "
+        "using auto",
         env);
   }
   return best_backend();
@@ -373,23 +280,6 @@ void gemv(std::span<const double> w, std::size_t rows, std::size_t cols,
       return avx512::gemv(w, rows, cols, x, b, y);
     case Backend::kAvx2:
       return avx2::gemv(w, rows, cols, x, b, y);
-    case Backend::kNeon:
-      return neon::gemv(w, rows, cols, x, b, y);
-    case Backend::kScalar:
-      return scalar::gemv(w, rows, cols, x, b, y);
-  }
-}
-
-void gemv(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::span<const float> b,
-          std::span<float> y) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::gemv(w, rows, cols, x, b, y);
-    case Backend::kAvx2:
-      return avx2::gemv(w, rows, cols, x, b, y);
-    case Backend::kNeon:
-      return neon::gemv(w, rows, cols, x, b, y);
     case Backend::kScalar:
       return scalar::gemv(w, rows, cols, x, b, y);
   }
@@ -403,23 +293,6 @@ void gemm(std::span<const double> w, std::size_t rows, std::size_t cols,
       return avx512::gemm(w, rows, cols, x, batch, b, y);
     case Backend::kAvx2:
       return avx2::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kNeon:
-      return neon::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kScalar:
-      return scalar::gemm(w, rows, cols, x, batch, b, y);
-  }
-}
-
-void gemm(std::span<const float> w, std::size_t rows, std::size_t cols,
-          std::span<const float> x, std::size_t batch,
-          std::span<const float> b, std::span<float> y) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kAvx2:
-      return avx2::gemm(w, rows, cols, x, batch, b, y);
-    case Backend::kNeon:
-      return neon::gemm(w, rows, cols, x, batch, b, y);
     case Backend::kScalar:
       return scalar::gemm(w, rows, cols, x, batch, b, y);
   }
@@ -433,8 +306,6 @@ void gemv_transposed(std::span<const double> w, std::size_t rows,
       return avx512::gemv_transposed(w, rows, cols, g, y);
     case Backend::kAvx2:
       return avx2::gemv_transposed(w, rows, cols, g, y);
-    case Backend::kNeon:
-      return neon::gemv_transposed(w, rows, cols, g, y);
     case Backend::kScalar:
       return scalar::gemv_transposed(w, rows, cols, g, y);
   }
@@ -447,8 +318,6 @@ void rank1_update(std::span<double> w, std::size_t rows, std::size_t cols,
       return avx512::rank1_update(w, rows, cols, g, x);
     case Backend::kAvx2:
       return avx2::rank1_update(w, rows, cols, g, x);
-    case Backend::kNeon:
-      return neon::rank1_update(w, rows, cols, g, x);
     case Backend::kScalar:
       return scalar::rank1_update(w, rows, cols, g, x);
   }
@@ -460,22 +329,6 @@ double dot(std::span<const double> a, std::span<const double> b) {
       return avx512::dot(a, b);
     case Backend::kAvx2:
       return avx2::dot(a, b);
-    case Backend::kNeon:
-      return neon::dot(a, b);
-    case Backend::kScalar:
-      return scalar::dot(a, b);
-  }
-  return scalar::dot(a, b);
-}
-
-float dot(std::span<const float> a, std::span<const float> b) {
-  switch (active_backend()) {
-    case Backend::kAvx512:
-      return avx512::dot(a, b);
-    case Backend::kAvx2:
-      return avx2::dot(a, b);
-    case Backend::kNeon:
-      return neon::dot(a, b);
     case Backend::kScalar:
       return scalar::dot(a, b);
   }

@@ -6,6 +6,37 @@
 
 namespace netadv::trace {
 
+namespace {
+
+/// Reject a loaded segment no simulator can replay: every field finite,
+/// duration > 0, bandwidth and latency >= 0, loss in [0, 1]. `row` is the
+/// 1-based data row (header excluded).
+Segment checked_segment(const Segment& s, const char* fn,
+                        const std::string& path, std::size_t row) {
+  const struct {
+    const char* name;
+    double value;
+    bool in_range;
+    const char* rule;
+  } fields[] = {
+      {"duration_s", s.duration_s, s.duration_s > 0.0, "> 0"},
+      {"bandwidth_mbps", s.bandwidth_mbps, s.bandwidth_mbps >= 0.0, ">= 0"},
+      {"latency_ms", s.latency_ms, s.latency_ms >= 0.0, ">= 0"},
+      {"loss_rate", s.loss_rate, s.loss_rate >= 0.0 && s.loss_rate <= 1.0,
+       "in [0, 1]"},
+  };
+  for (const auto& f : fields) {
+    if (std::isfinite(f.value) && f.in_range) continue;
+    throw std::runtime_error{std::string{fn} + ": " + path + " row " +
+                             std::to_string(row) + ": " + f.name + " = " +
+                             util::format_number(f.value) +
+                             " (must be finite and " + f.rule + ")"};
+  }
+  return s;
+}
+
+}  // namespace
+
 double Trace::total_duration_s() const noexcept {
   double total = 0.0;
   for (const auto& s : segments_) total += s.duration_s;
@@ -57,11 +88,13 @@ Trace load_trace(const std::string& path) {
   }
   std::vector<Segment> segments;
   segments.reserve(table.rows.size());
-  for (const auto& row : table.rows) {
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const auto& row = table.rows[i];
     if (row.size() != 4) {
       throw std::runtime_error{"load_trace: ragged row in " + path};
     }
-    segments.push_back({row[0], row[1], row[2], row[3]});
+    segments.push_back(checked_segment({row[0], row[1], row[2], row[3]},
+                                       "load_trace", path, i + 1));
   }
   return Trace{std::move(segments)};
 }
@@ -85,7 +118,14 @@ std::vector<Trace> load_trace_set(const std::string& path) {
     throw std::runtime_error{"load_trace_set: expected 5 columns in " + path};
   }
   std::vector<Trace> traces;
-  for (const auto& row : table.rows) {
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    const auto& row = table.rows[i];
+    if (!(row[0] >= 0.0 && row[0] < 1e15 && row[0] == std::floor(row[0]))) {
+      throw std::runtime_error{"load_trace_set: " + path + " row " +
+                               std::to_string(i + 1) + ": trace = " +
+                               util::format_number(row[0]) +
+                               " (must be a non-negative integer)"};
+    }
     const auto index = static_cast<std::size_t>(row[0]);
     if (index >= traces.size()) {
       if (index != traces.size()) {
@@ -97,7 +137,8 @@ std::vector<Trace> load_trace_set(const std::string& path) {
       throw std::runtime_error{"load_trace_set: out-of-order trace index in " +
                                path};
     }
-    traces.back().append({row[1], row[2], row[3], row[4]});
+    traces.back().append(checked_segment({row[1], row[2], row[3], row[4]},
+                                         "load_trace_set", path, i + 1));
   }
   return traces;
 }

@@ -50,7 +50,10 @@ class Trace {
 
 /// Save/load the CSV interchange format:
 /// header `duration_s,bandwidth_mbps,latency_ms,loss_rate`, one segment per
-/// row. Throws std::runtime_error on I/O or format errors.
+/// row. Throws std::runtime_error on I/O or format errors, and on any
+/// segment with a non-finite field, duration <= 0, negative bandwidth or
+/// latency, or loss outside [0, 1]; the message names the path, the data row
+/// (1-based, header excluded) and the field.
 void save_trace(const Trace& trace, const std::string& path);
 Trace load_trace(const std::string& path);
 
@@ -60,7 +63,8 @@ Trace load_trace(const std::string& path);
 /// row, rows grouped by 0-based trace index in ascending order. Unlike the
 /// bandwidth-only corpus dumps some benches emit, this round-trips every
 /// segment field, so a loaded set replays exactly. Throws std::runtime_error
-/// on I/O or format errors (including out-of-order trace indices).
+/// on I/O or format errors (including out-of-order or non-integer trace
+/// indices) and on segments load_trace would reject.
 void save_trace_set(const std::vector<Trace>& traces, const std::string& path);
 std::vector<Trace> load_trace_set(const std::string& path);
 

@@ -1,5 +1,7 @@
 #include "util/spec.hpp"
 
+#include <cctype>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -93,6 +95,32 @@ std::vector<std::string> split_list(const std::string& csv) {
     if (!item.empty()) items.push_back(item);
   }
   return items;
+}
+
+std::optional<std::uint64_t> parse_u64(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  for (const char c : text) {
+    if (std::isdigit(static_cast<unsigned char>(c)) == 0) return std::nullopt;
+  }
+  try {
+    return static_cast<std::uint64_t>(std::stoull(text));
+  } catch (const std::out_of_range&) {
+    return std::nullopt;
+  }
+}
+
+std::optional<double> parse_finite(const std::string& text) {
+  if (text.empty() || std::isspace(static_cast<unsigned char>(text[0])) != 0) {
+    return std::nullopt;
+  }
+  try {
+    std::size_t used = 0;
+    const double value = std::stod(text, &used);
+    if (used != text.size() || !std::isfinite(value)) return std::nullopt;
+    return value;
+  } catch (const std::exception&) {
+    return std::nullopt;
+  }
 }
 
 }  // namespace netadv::util

@@ -19,6 +19,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -56,5 +58,12 @@ SpecFile parse_spec_file(const std::string& path);
 /// Split a comma-separated list, trimming whitespace and dropping empty
 /// items ("a, b,c" -> {"a","b","c"}).
 std::vector<std::string> split_list(const std::string& csv);
+
+/// Strict numeric values: the whole text must be the number. parse_u64
+/// takes decimal digits only (no sign, whitespace or trailing text) that fit
+/// 64 bits; parse_finite takes a double (std::stod syntax, no leading
+/// whitespace or trailing text) that is finite. Anything else is nullopt.
+std::optional<std::uint64_t> parse_u64(const std::string& text);
+std::optional<double> parse_finite(const std::string& text);
 
 }  // namespace netadv::util

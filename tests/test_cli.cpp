@@ -9,6 +9,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -122,6 +123,24 @@ TEST(Cli, EvalOnMissingTraceIsARuntimeError) {
   std::string output;
   EXPECT_EQ(run_cli("eval bb /tmp/netadv_no_such_trace.csv", &output), 1);
   EXPECT_NE(output.find("error:"), std::string::npos);
+}
+
+TEST(Cli, MalformedTraceFailsFastInCcAndEval) {
+  // A NaN-duration segment would stall `cc`'s replay clock and let `eval`
+  // print a plausible QoE; the trace loader rejects it, naming the row and
+  // field, before either command simulates anything.
+  const std::string path = out_dir() + "/nan_duration.csv";
+  std::ofstream{path} << "duration_s,bandwidth_mbps,latency_ms,loss_rate\n"
+                      << "1,2,50,0\nnan,2,50,0\n";
+  for (const std::string command : {"cc cubic ", "eval mpc "}) {
+    std::string output;
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(run_cli(command + path, &output), 1) << command;
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds{5})
+        << command;
+    EXPECT_NE(output.find("row 2: duration_s"), std::string::npos) << output;
+    EXPECT_EQ(output.find("QoE"), std::string::npos) << output;
+  }
 }
 
 TEST(Cli, ListQoeModelsCategory) {
@@ -316,13 +335,12 @@ TEST(Cli, InfoReportsBackendsAndKnobResolution) {
   std::string output;
   ASSERT_EQ(run_cli("info", &output), 0);
   EXPECT_NE(output.find("kernel backends"), std::string::npos);
-  for (const char* backend : {"scalar", "avx2", "avx512", "neon"}) {
+  for (const char* backend : {"scalar", "avx2", "avx512"}) {
     EXPECT_NE(output.find(backend), std::string::npos) << backend;
   }
   EXPECT_NE(output.find("<- active"), std::string::npos);
   EXPECT_NE(output.find("NETADV_SIMD"), std::string::npos);
   EXPECT_NE(output.find("NETADV_THREADS"), std::string::npos);
-  EXPECT_NE(output.find("NETADV_F32_ROLLOUT"), std::string::npos);
 }
 
 TEST(Cli, InfoWithArgumentsIsAUsageError) {
@@ -337,27 +355,50 @@ TEST(Cli, InfoHonorsForcedSimdOffWithoutComplaint) {
 }
 
 TEST(Cli, InfoForcedUnavailableBackendFallsBackWithNote) {
-  // Force whichever wide backend this build/host cannot run (neon on x86,
-  // avx512 on arm); the dispatch must log the fallback note and carry on
-  // rather than crash. Skip only if every backend genuinely works here.
+  // Force each wide backend. One this build/host cannot run (compiled out by
+  // -DNETADV_SIMD=avx2 or off, or missing from the CPU) must log the
+  // fallback note and carry on rather than crash; one it can run must
+  // activate without a note.
   namespace kr = netadv::rl::kernels;
-  std::string forced;
-  if (!kr::backend_available(kr::Backend::kNeon)) {
-    forced = "neon";
-  } else if (!kr::backend_available(kr::Backend::kAvx512)) {
-    forced = "avx512";
-  } else {
-    GTEST_SKIP() << "host supports every compiled backend; nothing to force";
+  const struct {
+    const char* name;
+    kr::Backend backend;
+  } wide[] = {{"avx2", kr::Backend::kAvx2}, {"avx512", kr::Backend::kAvx512}};
+  for (const auto& w : wide) {
+    const std::string forced = w.name;
+    std::string output;
+    ASSERT_EQ(run_cli("info", &output, "NETADV_SIMD=" + forced), 0);
+    if (kr::backend_available(w.backend)) {
+      EXPECT_NE(output.find(forced + " -> " + forced), std::string::npos)
+          << output;
+      EXPECT_EQ(output.find("falling back"), std::string::npos) << output;
+      continue;
+    }
+    EXPECT_NE(output.find("NETADV_SIMD=" + forced + " requested but"),
+              std::string::npos)
+        << output;
+    EXPECT_NE(output.find("falling back"), std::string::npos);
+    // The report reflects the backend actually activated, not the forced one.
+    EXPECT_NE(output.find(forced + " -> "), std::string::npos);
+    EXPECT_EQ(output.find(forced + " -> " + forced), std::string::npos);
   }
+}
+
+TEST(Cli, InfoTreatsNeonAsAnUnrecognizedBackend) {
+  // There is no NEON backend: the value takes the unrecognized-value path
+  // and resolves like auto.
+  namespace kr = netadv::rl::kernels;
   std::string output;
-  ASSERT_EQ(run_cli("info", &output, "NETADV_SIMD=" + forced), 0);
-  EXPECT_NE(output.find("NETADV_SIMD=" + forced + " requested but"),
+  ASSERT_EQ(run_cli("info", &output, "NETADV_SIMD=neon"), 0);
+  EXPECT_NE(output.find("NETADV_SIMD='neon' not recognized"),
             std::string::npos)
       << output;
-  EXPECT_NE(output.find("falling back"), std::string::npos);
-  // The report reflects the backend actually activated, not the forced one.
-  EXPECT_NE(output.find(forced + " -> "), std::string::npos);
-  EXPECT_EQ(output.find(forced + " -> " + forced), std::string::npos);
+  EXPECT_NE(output.find("using auto"), std::string::npos);
+  EXPECT_NE(output.find(std::string("neon -> ") +
+                        kr::backend_name(kr::best_backend())),
+            std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("falling back"), std::string::npos);
 }
 
 }  // namespace

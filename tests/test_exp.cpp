@@ -300,6 +300,25 @@ TEST(Campaign, SeedsAreDeterministicAndOverridable) {
   EXPECT_NE(first[0], first[1]);
 }
 
+TEST(Campaign, SeedsRejectSignsAndTrailingText) {
+  for (const std::string bad : {"-5", "+5", "12abc", "1e3"}) {
+    const std::string specs[] = {
+        "[campaign]\nname = x\nseed = " + bad + "\n[job a]\nkind = replay\n",
+        "[campaign]\nname = x\n[job a]\nkind = replay\nseed = " + bad + "\n",
+    };
+    for (const std::string& spec : specs) {
+      try {
+        campaign_from(spec);
+        ADD_FAILURE() << "accepted seed '" << bad << "'";
+      } catch (const std::runtime_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("seed"), std::string::npos) << what;
+        EXPECT_NE(what.find("'" + bad + "'"), std::string::npos) << what;
+      }
+    }
+  }
+}
+
 TEST(Campaign, ParamsHashIgnoresSpellingOrderButNotValues) {
   const exp::Campaign a = campaign_from(
       "[campaign]\nname = x\nout_dir = /tmp/x\n"
@@ -625,6 +644,35 @@ TEST(BuiltinJobs, ServeJobFailsWithEnumeratingErrors) {
   EXPECT_NE(report2.outcome_of("s").error.find("trace_file"),
             std::string::npos)
       << report2.outcome_of("s").error;
+}
+
+TEST(BuiltinJobs, NumericParamsRejectSignsTrailingTextAndNonFinite) {
+  // Each bad value fails its job with an error naming the key, before the
+  // value can size an allocation (a wrapped count = -5 is 2^64 - 5) or an
+  // episode (duration = nan).
+  const std::string gen = "kind = gen-traces\ngenerator = fcc\n";
+  const std::string cc_train =
+      "kind = train-adversary\ndomain = cc\nprotocol = cubic\nsteps = 256\n";
+  const struct {
+    std::string job;
+    std::string key;
+    std::string value;
+  } cases[] = {
+      {gen, "count", "-5"},          {gen, "count", "+3"},
+      {gen, "count", "12abc"},       {cc_train, "duration", "nan"},
+      {cc_train, "duration", "inf"}, {cc_train, "duration", "0.5x"},
+  };
+  for (const auto& c : cases) {
+    const std::string dir = temp_dir("netadv_builtin_bad_number");
+    const exp::CampaignReport report = exp::run_campaign(
+        campaign_from("[campaign]\nname = bad\nout_dir = " + dir +
+                      "\n[job j]\n" + c.job + c.key + " = " + c.value + "\n"),
+        exp::builtin_jobs());
+    ASSERT_FALSE(report.ok()) << c.key << " = " << c.value;
+    const std::string& error = report.outcome_of("j").error;
+    EXPECT_NE(error.find(c.key + " is not a"), std::string::npos) << error;
+    EXPECT_NE(error.find("'" + c.value + "'"), std::string::npos) << error;
+  }
 }
 
 // A bad target name must fail the job before any artifact exists (the

@@ -1,6 +1,6 @@
 // Determinism gates for the parallel execution layer: the same seed must
 // produce bit-identical results at thread counts 1, 2, and 8 — replayed QoE
-// vectors, CC replay metrics, VecEnv trajectories, trained PPO/A2C
+// vectors, CC replay metrics, VecEnv trajectories, trained PPO
 // parameters through the shadow-buffer gradient path, concurrently trained
 // adversaries, and batch-recorded adversarial corpora. Also covers
 // ThreadPool semantics (coverage, ordering, exception propagation) and the
@@ -20,7 +20,6 @@
 #include "cc/cubic.hpp"
 #include "core/recorder.hpp"
 #include "core/trainer.hpp"
-#include "rl/a2c.hpp"
 #include "rl/mlp.hpp"
 #include "rl/ppo.hpp"
 #include "rl/toy_envs.hpp"
@@ -325,36 +324,6 @@ TEST(ParallelGradients, ActivationCacheIdenticalAcrossThreadCountsAndToggle) {
           train_ppo_shadow_at(&pool, /*continuous=*/false, cache);
       expect_identical_agents(agent, reference, threads);
     }
-  }
-}
-
-std::vector<double> train_a2c_shadow_at(util::ThreadPool* pool) {
-  util::set_log_level(util::LogLevel::kWarn);
-  rl::A2cConfig cfg;
-  cfg.hidden_sizes = {12};
-  cfg.n_steps = 32;
-  rl::ContextualBanditEnv env{2, 3, 8};
-  rl::A2cAgent agent{env.observation_size(), env.action_spec(), cfg, 19};
-  agent.set_thread_pool(pool);
-  agent.train(env, 256);
-  // A2cAgent has no checkpoint accessors; probe the policy through actions
-  // and values on a fixed observation grid instead.
-  std::vector<double> signature;
-  for (std::size_t c = 0; c < 2; ++c) {
-    rl::Vec obs(2, 0.0);
-    obs[c] = 1.0;
-    signature.push_back(agent.act_deterministic(obs)[0]);
-    signature.push_back(agent.value_estimate(obs));
-  }
-  return signature;
-}
-
-TEST(ParallelGradients, A2cShadowPathMatchesSequential) {
-  const std::vector<double> reference = train_a2c_shadow_at(nullptr);
-  for (std::size_t threads : kThreadCounts) {
-    util::ThreadPool pool{threads};
-    EXPECT_EQ(train_a2c_shadow_at(&pool), reference)
-        << "A2C policy differs at " << threads << " threads";
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <string>
 
 #include "trace/generators.hpp"
 #include "trace/trace.hpp"
@@ -68,6 +70,112 @@ TEST(Trace, CsvRoundTrip) {
 
 TEST(Trace, LoadMissingFileThrows) {
   EXPECT_THROW(load_trace("/nonexistent/trace.csv"), std::runtime_error);
+}
+
+// ---------------------------------------------------------- load validation
+
+/// Write `body` under a per-test temp name and return the path.
+std::string write_temp_csv(const std::string& name, const std::string& body) {
+  const std::string path =
+      (std::filesystem::temp_directory_path() / name).string();
+  std::ofstream{path} << body;
+  return path;
+}
+
+/// Loading `path` must throw an error naming the path, the row and the field.
+template <typename Load>
+void expect_rejected(Load load, const std::string& path, const char* row,
+                     const char* field) {
+  try {
+    load(path);
+    ADD_FAILURE() << "accepted " << path;
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << what;
+    EXPECT_NE(what.find(row), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+  std::remove(path.c_str());
+}
+
+const char* kTraceHeader = "duration_s,bandwidth_mbps,latency_ms,loss_rate\n";
+
+TEST(TraceLoad, RejectsNanDuration) {
+  expect_rejected(load_trace,
+                  write_temp_csv("netadv_bad_nan_duration.csv",
+                                 std::string{kTraceHeader} +
+                                     "1,2,50,0\nnan,2,50,0\n"),
+                  "row 2", "duration_s");
+}
+
+TEST(TraceLoad, RejectsNanBandwidth) {
+  expect_rejected(load_trace,
+                  write_temp_csv("netadv_bad_nan_bandwidth.csv",
+                                 std::string{kTraceHeader} + "1,nan,50,0\n"),
+                  "row 1", "bandwidth_mbps");
+}
+
+TEST(TraceLoad, RejectsLossAboveOne) {
+  expect_rejected(load_trace,
+                  write_temp_csv("netadv_bad_loss.csv",
+                                 std::string{kTraceHeader} +
+                                     "1,2,50,0\n1,2,50,0\n1,2,50,1.5\n"),
+                  "row 3", "loss_rate");
+}
+
+TEST(TraceLoad, RejectsNegativeDuration) {
+  expect_rejected(load_trace,
+                  write_temp_csv("netadv_bad_negative_duration.csv",
+                                 std::string{kTraceHeader} + "-1,2,50,0\n"),
+                  "row 1", "duration_s");
+}
+
+TEST(TraceLoad, RejectsEveryOtherOutOfRangeField) {
+  const struct {
+    const char* row;
+    const char* field;
+  } cases[] = {
+      {"0,2,50,0", "duration_s"},      {"inf,2,50,0", "duration_s"},
+      {"1,-0.5,50,0", "bandwidth_mbps"}, {"1,inf,50,0", "bandwidth_mbps"},
+      {"1,2,-1,0", "latency_ms"},      {"1,2,nan,0", "latency_ms"},
+      {"1,2,50,-0.1", "loss_rate"},    {"1,2,50,nan", "loss_rate"},
+  };
+  for (const auto& c : cases) {
+    expect_rejected(load_trace,
+                    write_temp_csv("netadv_bad_field.csv",
+                                   std::string{kTraceHeader} + c.row + "\n"),
+                    "row 1", c.field);
+  }
+}
+
+TEST(TraceLoad, AcceptsBoundaryValues) {
+  // Zero bandwidth (an outage), zero latency and loss at either end of
+  // [0, 1] are legal conditions.
+  const std::string path = write_temp_csv(
+      "netadv_boundary_trace.csv",
+      std::string{kTraceHeader} + "0.5,0,0,0\n0.5,3,10,1\n");
+  const Trace t = load_trace(path);
+  ASSERT_EQ(t.size(), 2u);
+  EXPECT_DOUBLE_EQ(t[0].bandwidth_mbps, 0.0);
+  EXPECT_DOUBLE_EQ(t[1].loss_rate, 1.0);
+  std::remove(path.c_str());
+}
+
+TEST(TraceLoad, TraceSetRejectsBadSegmentsAndIndices) {
+  const std::string header =
+      "trace,duration_s,bandwidth_mbps,latency_ms,loss_rate\n";
+  expect_rejected(load_trace_set,
+                  write_temp_csv("netadv_bad_set_duration.csv",
+                                 header + "0,1,2,50,0\n1,nan,2,50,0\n"),
+                  "row 2", "duration_s");
+  expect_rejected(load_trace_set,
+                  write_temp_csv("netadv_bad_set_loss.csv",
+                                 header + "0,1,2,50,1.5\n"),
+                  "row 1", "loss_rate");
+  expect_rejected(load_trace_set,
+                  write_temp_csv("netadv_bad_set_index.csv",
+                                 header + "nan,1,2,50,0\n"),
+                  "row 1", "trace");
 }
 
 // ---------------------------------------------------------------- generators
