@@ -35,10 +35,13 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -61,6 +64,7 @@
 #include "trace/trace.hpp"
 #include "util/fsatomic.hpp"
 #include "util/log.hpp"
+#include "util/spec.hpp"
 #include "util/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -106,6 +110,19 @@ std::unique_ptr<abr::AbrProtocol> make_protocol(const std::string& kind) {
 
 std::unique_ptr<cc::CcSender> make_sender(const std::string& kind) {
   return core::cc_senders().try_make(kind);
+}
+
+/// A count argument: decimal digits only (util::parse_u64), so "-1" cannot
+/// wrap to 2^64-1 and "2abc" cannot read as 2. Prints an error naming the
+/// argument and returns nullopt on anything else.
+std::optional<std::size_t> parse_count(const char* command, const char* name,
+                                       const std::string& text) {
+  if (const auto value = util::parse_u64(text)) {
+    return static_cast<std::size_t>(*value);
+  }
+  std::fprintf(stderr, "%s: <%s> must be a non-negative integer, got '%s'\n",
+               command, name, text.c_str());
+  return std::nullopt;
 }
 
 void print_registry(const char* heading, const core::RegistryBase& registry) {
@@ -156,9 +173,10 @@ int cmd_gen(const std::vector<std::string>& args) {
   if (args.size() != 3) return usage();
   auto gen = make_generator(args[0]);
   if (!gen) return usage();
-  const auto count = static_cast<std::size_t>(std::stoul(args[1]));
+  const auto count = parse_count("gen", "count", args[1]);
+  if (!count) return usage();
   util::Rng rng{20190707};
-  for (std::size_t i = 0; i < count; ++i) {
+  for (std::size_t i = 0; i < *count; ++i) {
     const std::string path = args[2] + "_" + std::to_string(i) + ".csv";
     trace::save_trace(gen->generate(rng), path);
     std::printf("wrote %s\n", path.c_str());
@@ -187,21 +205,23 @@ int cmd_eval(const std::vector<std::string>& args) {
 int cmd_attack(const std::vector<std::string>& args) {
   if (args.size() != 4) return usage();
   if (!core::abr_protocols().contains(args[0])) return usage();
+  const auto steps = parse_count("attack", "steps", args[1]);
+  if (!steps) return usage();
+  const auto count = parse_count("attack", "count", args[2]);
+  if (!count) return usage();
   // Resolve the target factory once; attack + per-trace regret reuse it.
   const core::ProtocolFactory make_target =
       core::abr_protocols().factory(args[0]);
   auto protocol = make_target();
-  const auto steps = static_cast<std::size_t>(std::stoul(args[1]));
-  const auto count = static_cast<std::size_t>(std::stoul(args[2]));
 
   const abr::VideoManifest manifest;
   core::AbrAdversaryEnv env{manifest, *protocol};
   std::printf("training adversary vs %s for %zu steps...\n",
-              protocol->name().c_str(), steps);
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, 20190707);
+              protocol->name().c_str(), *steps);
+  rl::PpoAgent adversary = core::train_abr_adversary(env, *steps, 20190707);
 
   util::Rng rng{20190708};
-  const auto traces = core::record_abr_traces(adversary, env, count, rng);
+  const auto traces = core::record_abr_traces(adversary, env, *count, rng);
   double regret = 0.0;
   for (std::size_t i = 0; i < traces.size(); ++i) {
     const std::string path = args[3] + "_" + std::to_string(i) + ".csv";
@@ -234,18 +254,19 @@ int cmd_serve(const std::vector<std::string>& args) {
   if (args.size() != 4 && args.size() != 5) return usage();
   if (!core::abr_protocols().contains(args[0])) return usage();
   if (!core::qoe_models().contains(args[1])) return usage();
+  const auto sessions = parse_count("serve", "sessions", args[2]);
+  if (!sessions) return usage();
   // Resolve both names up front; `serve pensieve` without a checkpoint
   // throws from the factory at session setup (runtime error, exit 1).
   const core::ProtocolFactory make_target =
       core::abr_protocols().factory(args[0]);
   const std::unique_ptr<abr::QoeModel> qoe = core::qoe_models().make(args[1]);
-  const auto sessions = static_cast<std::size_t>(std::stoul(args[2]));
 
   serve::SessionEngine engine{abr::VideoManifest{},
                               {trace::load_trace(args[3])}};
   serve::ServeStats stats;
   const std::vector<serve::SessionSummary> summaries = engine.run(
-      make_target, *qoe, sessions, &util::ThreadPool::global(), &stats);
+      make_target, *qoe, *sessions, &util::ThreadPool::global(), &stats);
 
   double qoe_total = 0.0;
   double rebuffer_total = 0.0;
@@ -407,19 +428,27 @@ int cmd_campaign(const std::string& exe,
         std::fprintf(stderr, "campaign: %s needs a value\n", arg.c_str());
         return usage();
       }
-      try {
-        if (arg == "--spawn-workers") {
-          spawn = std::stol(args[++i]);
-          if (spawn < 1) throw std::invalid_argument{"count"};
-        } else if (arg == "--lease") {
-          lease_s = std::stod(args[++i]);
-          if (lease_s <= 0.0) throw std::invalid_argument{"lease"};
-        } else {
-          poll_ms = std::stoi(args[++i]);
-          if (poll_ms < 1) throw std::invalid_argument{"poll"};
-        }
-      } catch (const std::exception&) {
-        std::fprintf(stderr, "campaign: bad value for %s\n", arg.c_str());
+      // Strict parses: "3x" is not 3 and "nan" is not a lease.
+      const std::string& value = args[++i];
+      bool ok = false;
+      if (arg == "--spawn-workers") {
+        const auto n = util::parse_u64(value);
+        ok = n && *n >= 1 &&
+             *n <= static_cast<std::uint64_t>(std::numeric_limits<long>::max());
+        if (ok) spawn = static_cast<long>(*n);
+      } else if (arg == "--lease") {
+        const auto seconds = util::parse_finite(value);
+        ok = seconds && *seconds > 0.0;
+        if (ok) lease_s = *seconds;
+      } else {
+        const auto ms = util::parse_u64(value);
+        ok = ms && *ms >= 1 &&
+             *ms <= static_cast<std::uint64_t>(std::numeric_limits<int>::max());
+        if (ok) poll_ms = static_cast<int>(*ms);
+      }
+      if (!ok) {
+        std::fprintf(stderr, "campaign: bad value for %s: '%s'\n",
+                     arg.c_str(), value.c_str());
         return usage();
       }
     } else if (!arg.empty() && arg[0] == '-') {

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <deque>
+#include <vector>
 
 #include "abr/protocol.hpp"
 #include "abr/qoe.hpp"
@@ -35,11 +36,16 @@ class RobustMpc final : public AbrProtocol {
   double predicted_throughput_mbps(const AbrObservation& observation) const;
 
  private:
-  double qoe_of_plan(const AbrObservation& observation,
-                     std::size_t first_quality, double predicted_mbps) const;
-
   Params params_;
   const VideoManifest* manifest_ = nullptr;
+  // Plan-search tables. download_s_[depth * num_qualities + q], the
+  // predicted download time of chunk (chunk_index + depth) at quality q, is
+  // refilled (not reallocated) per decision. Per video: bitrate_mbps_[q] and
+  // switch_cost_[prev * num_qualities + q], the smoothness charge
+  // qoe.smoothness_penalty * |bitrate(q) - bitrate(prev)|.
+  std::vector<double> download_s_;
+  std::vector<double> bitrate_mbps_;
+  std::vector<double> switch_cost_;
   // Rolling relative prediction errors for the robust discount.
   std::deque<double> past_errors_;
   double last_prediction_mbps_ = 0.0;

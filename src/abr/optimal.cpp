@@ -1,11 +1,14 @@
 #include "abr/optimal.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
+#include <string>
 
 #include "abr/runner.hpp"
+#include "abr/sim.hpp"
 
 namespace netadv::abr {
 
@@ -25,10 +28,24 @@ StepOutcome simulate_step(const VideoManifest& manifest, std::size_t chunk,
   const double size_bits = manifest.chunk_size_bits(chunk, quality);
   const double dt = size_bits / (bandwidth_mbps * 1e6);
   StepOutcome out;
-  out.rebuffer = std::max(0.0, dt - buffer);
+  out.rebuffer = positive_part(dt - buffer);
   out.buffer_after = std::min(
-      std::max(0.0, buffer - dt) + manifest.chunk_duration_s(), max_buffer_s);
+      positive_part(buffer - dt) + manifest.chunk_duration_s(), max_buffer_s);
   return out;
+}
+
+/// A window bandwidth must be a positive finite Mbps value: NaN would slip
+/// past a plain `<= 0` test and download every chunk stall-free.
+void check_window_bandwidths(const char* who,
+                             std::span<const double> bandwidths_mbps) {
+  for (std::size_t k = 0; k < bandwidths_mbps.size(); ++k) {
+    const double bw = bandwidths_mbps[k];
+    if (!std::isfinite(bw) || bw <= 0.0) {
+      throw std::invalid_argument{
+          std::string{who} + ": bandwidths_mbps[" + std::to_string(k) +
+          "] must be finite and > 0 (got " + std::to_string(bw) + ")"};
+    }
+  }
 }
 
 }  // namespace
@@ -155,6 +172,7 @@ double window_qoe(const VideoManifest& manifest, std::size_t start_chunk,
   if (qualities.size() != bandwidths_mbps.size()) {
     throw std::invalid_argument{"window_qoe: size mismatch"};
   }
+  check_window_bandwidths("window_qoe", bandwidths_mbps);
   double buffer = start_buffer_s;
   double prev = prev_bitrate_mbps;
   double total = 0.0;
@@ -174,23 +192,38 @@ double window_qoe(const VideoManifest& manifest, std::size_t start_chunk,
 
 namespace {
 
-double best_window_qoe_rec(const VideoManifest& manifest,
-                           std::size_t start_chunk, std::size_t depth,
-                           double buffer, double prev_bitrate,
-                           std::span<const double> bandwidths,
-                           const QoeParams& qoe, double max_buffer_s) {
-  const std::size_t chunk = start_chunk + depth;
-  if (depth >= bandwidths.size() || chunk >= manifest.num_chunks()) return 0.0;
+/// Read-only inputs of one r_opt search: download_s[depth * num_qualities
+/// + q] is chunk (start_chunk + depth)'s download time at quality q under
+/// the window's bandwidth for that chunk.
+struct WindowTables {
+  const double* download_s;
+  const double* bitrate_mbps;
+  std::size_t num_qualities;
+  std::size_t depth_limit;
+  double chunk_duration_s;
+  double max_buffer_s;
+  const QoeParams* qoe;
+};
+
+/// Best QoE of the window suffix from `depth` on. Qualities are tried in
+/// ascending order and each total is `here + rest` (rest = 0.0 past the
+/// last chunk), the summation order of the plain exhaustive recursion, so
+/// the result is bitwise the same.
+double best_window_qoe(const WindowTables& t, std::size_t depth, double buffer,
+                       double prev_bitrate) {
+  const double* dt = t.download_s + depth * t.num_qualities;
+  const bool last = depth + 1 >= t.depth_limit;
   double best = kNegInf;
-  for (std::size_t q = 0; q < manifest.num_qualities(); ++q) {
-    const StepOutcome out = simulate_step(manifest, chunk, q,
-                                          bandwidths[depth], buffer,
-                                          max_buffer_s);
-    const double bitrate = manifest.bitrate_mbps(q);
-    const double here = chunk_qoe(bitrate, out.rebuffer, prev_bitrate, qoe);
-    const double rest =
-        best_window_qoe_rec(manifest, start_chunk, depth + 1, out.buffer_after,
-                            bitrate, bandwidths, qoe, max_buffer_s);
+  for (std::size_t q = 0; q < t.num_qualities; ++q) {
+    const double bitrate = t.bitrate_mbps[q];
+    const double stall = positive_part(dt[q] - buffer);
+    const double here = chunk_qoe(bitrate, stall, prev_bitrate, *t.qoe);
+    double rest = 0.0;
+    if (!last) {
+      const double next_buffer = std::min(
+          positive_part(buffer - dt[q]) + t.chunk_duration_s, t.max_buffer_s);
+      rest = best_window_qoe(t, depth + 1, next_buffer, bitrate);
+    }
     best = std::max(best, here + rest);
   }
   return best;
@@ -206,12 +239,34 @@ double optimal_window_qoe(const VideoManifest& manifest,
   if (bandwidths_mbps.empty()) {
     throw std::invalid_argument{"optimal_window_qoe: empty window"};
   }
-  for (double bw : bandwidths_mbps) {
-    if (bw <= 0.0) throw std::invalid_argument{"optimal_window_qoe: bad bandwidth"};
+  check_window_bandwidths("optimal_window_qoe", bandwidths_mbps);
+  if (start_chunk >= manifest.num_chunks()) return 0.0;
+
+  // One row of download times per window chunk plus the bitrate row; a
+  // typical r_opt window (4 chunks x 6 qualities) fits the stack buffer.
+  const std::size_t nq = manifest.num_qualities();
+  const std::size_t depth_limit =
+      std::min(bandwidths_mbps.size(), manifest.num_chunks() - start_chunk);
+  constexpr std::size_t kStackTable = 64;
+  std::array<double, kStackTable> stack_table;
+  std::vector<double> heap_table;
+  double* table = stack_table.data();
+  if ((depth_limit + 1) * nq > kStackTable) {
+    heap_table.resize((depth_limit + 1) * nq);
+    table = heap_table.data();
   }
-  return best_window_qoe_rec(manifest, start_chunk, 0, start_buffer_s,
-                             prev_bitrate_mbps, bandwidths_mbps, qoe,
-                             max_buffer_s);
+  double* bitrate = table + depth_limit * nq;
+  for (std::size_t q = 0; q < nq; ++q) bitrate[q] = manifest.bitrate_mbps(q);
+  for (std::size_t depth = 0; depth < depth_limit; ++depth) {
+    for (std::size_t q = 0; q < nq; ++q) {
+      table[depth * nq + q] =
+          manifest.chunk_size_bits(start_chunk + depth, q) /
+          (bandwidths_mbps[depth] * 1e6);
+    }
+  }
+  const WindowTables tables{table, bitrate, nq, depth_limit,
+                            manifest.chunk_duration_s(), max_buffer_s, &qoe};
+  return best_window_qoe(tables, 0, start_buffer_s, prev_bitrate_mbps);
 }
 
 }  // namespace netadv::abr

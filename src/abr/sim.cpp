@@ -1,7 +1,9 @@
 #include "abr/sim.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace netadv::abr {
 
@@ -20,8 +22,11 @@ DownloadResult StreamingSession::download_next(std::size_t quality,
   if (quality >= manifest_->num_qualities()) {
     throw std::invalid_argument{"StreamingSession: bad quality"};
   }
-  if (bandwidth_mbps <= 0.0) {
-    throw std::invalid_argument{"StreamingSession: bandwidth must be > 0"};
+  // NaN would pass a plain `<= 0` test and download the chunk stall-free.
+  if (!std::isfinite(bandwidth_mbps) || bandwidth_mbps <= 0.0) {
+    throw std::invalid_argument{
+        "StreamingSession: bandwidth_mbps must be finite and > 0 (got " +
+        std::to_string(bandwidth_mbps) + ")"};
   }
 
   DownloadResult result;

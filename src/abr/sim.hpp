@@ -6,12 +6,30 @@
 // the buffer would exceed its cap.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <vector>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 #include "abr/video.hpp"
 
 namespace netadv::abr {
+
+/// std::max(0.0, x), the clamp in the chunk dynamics' stall (download time
+/// minus buffer) and drained buffer (buffer minus download time). On x86 it
+/// is one maxsd, which has exactly its semantics (NaN and -0.0 give 0.0);
+/// GCC otherwise branches on the sign, and in the planners' inner loops
+/// that branch mispredicts.
+inline double positive_part(double x) {
+#if defined(__SSE2__)
+  return _mm_cvtsd_f64(_mm_max_sd(_mm_set_sd(x), _mm_setzero_pd()));
+#else
+  return std::max(0.0, x);
+#endif
+}
 
 /// Everything that happened while fetching one chunk.
 struct DownloadResult {

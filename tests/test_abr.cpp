@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <deque>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -424,6 +426,26 @@ TEST(StreamingSession, ValidatesInputs) {
                std::invalid_argument);
 }
 
+TEST(StreamingSession, RejectsNonFiniteBandwidthWithoutAdvancing) {
+  // NaN used to pass the `<= 0` check and download a chunk stall-free.
+  const VideoManifest m;
+  StreamingSession s{m};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    try {
+      s.download_next(0, bad);
+      FAIL() << "accepted bandwidth " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("bandwidth_mbps"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(s.next_chunk(), 0u);
+  EXPECT_EQ(s.buffer_s(), 0.0);
+}
+
 TEST(StreamingSession, RestartResets) {
   const VideoManifest m;
   StreamingSession s{m};
@@ -558,6 +580,270 @@ TEST(RobustMpc, RequiresBeginVideo) {
   AbrObservation obs;
   EXPECT_THROW(mpc.choose_quality(obs), std::logic_error);
 }
+
+TEST(RobustMpc, RejectsNonFiniteBufferAndQoeWeights) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double bad : {nan, inf, -inf}) {
+    EXPECT_THROW((RobustMpc{{.max_buffer_s = bad}}), std::invalid_argument);
+    EXPECT_THROW((RobustMpc{{.qoe = {.rebuffer_penalty = bad}}}),
+                 std::invalid_argument);
+    EXPECT_THROW((RobustMpc{{.qoe = {.smoothness_penalty = bad}}}),
+                 std::invalid_argument);
+  }
+  try {
+    RobustMpc{{.max_buffer_s = nan}};
+    FAIL() << "NaN max_buffer_s accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("max_buffer_s"), std::string::npos);
+  }
+  try {
+    RobustMpc{{.qoe = {.smoothness_penalty = inf}}};
+    FAIL() << "infinite smoothness_penalty accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string{e.what()}.find("smoothness_penalty"),
+              std::string::npos);
+  }
+}
+
+TEST(RobustMpc, ChunkIndexPastTheEndThrows) {
+  const VideoManifest m;
+  RobustMpc mpc;
+  mpc.begin_video(m);
+  AbrObservation obs;
+  obs.chunk_index = m.num_chunks();
+  EXPECT_THROW(mpc.choose_quality(obs), std::out_of_range);
+}
+
+// -------------------------------------------- mpc decision-identity gate
+//
+// ReferenceMpc is RobustMPC as first written: one heap stack of partial
+// plans per first quality, a manifest lookup and a division per node. The
+// table-driven search must reproduce its every decision.
+
+class ReferenceMpc {
+ public:
+  explicit ReferenceMpc(RobustMpc::Params params) : params_(params) {}
+
+  void begin_video(const VideoManifest& manifest) {
+    manifest_ = &manifest;
+    past_errors_.clear();
+    last_prediction_mbps_ = 0.0;
+    has_prediction_ = false;
+  }
+
+  std::size_t choose_quality(const AbrObservation& observation) {
+    if (has_prediction_ && !observation.throughput_history_mbps.empty()) {
+      const double actual = observation.throughput_history_mbps.front();
+      if (actual > 0.0) {
+        past_errors_.push_back(std::abs(last_prediction_mbps_ - actual) /
+                               actual);
+        while (past_errors_.size() > params_.throughput_window) {
+          past_errors_.pop_front();
+        }
+      }
+    }
+    const double predicted = predicted_throughput_mbps(observation);
+    if (!observation.throughput_history_mbps.empty()) {
+      last_prediction_mbps_ = harmonic_mean(observation);
+      has_prediction_ = true;
+    }
+    std::size_t best_quality = 0;
+    double best_qoe = -1e18;
+    for (std::size_t q = 0; q < manifest_->num_qualities(); ++q) {
+      const double qoe = qoe_of_plan(observation, q, predicted);
+      if (qoe > best_qoe) {
+        best_qoe = qoe;
+        best_quality = q;
+      }
+    }
+    return best_quality;
+  }
+
+ private:
+  double harmonic_mean(const AbrObservation& observation) const {
+    const std::size_t n = std::min(params_.throughput_window,
+                                   observation.throughput_history_mbps.size());
+    double denom = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+      denom += 1.0 / observation.throughput_history_mbps[i];
+    }
+    return static_cast<double>(n) / denom;
+  }
+
+  double predicted_throughput_mbps(const AbrObservation& observation) const {
+    if (observation.throughput_history_mbps.empty()) {
+      return manifest_->bitrate_mbps(0);
+    }
+    double prediction = harmonic_mean(observation);
+    if (params_.robust && !past_errors_.empty()) {
+      prediction /=
+          1.0 + *std::max_element(past_errors_.begin(), past_errors_.end());
+    }
+    return prediction;
+  }
+
+  double qoe_of_plan(const AbrObservation& observation,
+                     std::size_t first_quality, double predicted_mbps) const {
+    struct Frame {
+      double buffer = 0.0;
+      double prev_bitrate = 0.0;
+      double qoe = 0.0;
+    };
+    struct Node {
+      std::size_t depth;
+      std::size_t quality;
+      Frame frame;
+    };
+    const std::size_t total = manifest_->num_chunks();
+    const std::size_t depth_limit =
+        std::min(params_.horizon, total - observation.chunk_index);
+    double best = -1e18;
+    std::vector<Node> stack;
+    stack.push_back(
+        {0, first_quality,
+         {observation.buffer_s, observation.last_bitrate_mbps, 0.0}});
+    while (!stack.empty()) {
+      const Node node = stack.back();
+      stack.pop_back();
+      const std::size_t chunk = observation.chunk_index + node.depth;
+      const double size_bits = manifest_->chunk_size_bits(chunk, node.quality);
+      const double dt = size_bits / (predicted_mbps * 1e6);
+      const double rebuffer = std::max(0.0, dt - node.frame.buffer);
+      double buffer = std::max(0.0, node.frame.buffer - dt) +
+                      manifest_->chunk_duration_s();
+      buffer = std::min(buffer, params_.max_buffer_s);
+      const double bitrate = manifest_->bitrate_mbps(node.quality);
+      const double qoe =
+          node.frame.qoe +
+          chunk_qoe(bitrate, rebuffer, node.frame.prev_bitrate, params_.qoe);
+      if (node.depth + 1 >= depth_limit) {
+        best = std::max(best, qoe);
+        continue;
+      }
+      for (std::size_t q = 0; q < manifest_->num_qualities(); ++q) {
+        stack.push_back({node.depth + 1, q, {buffer, bitrate, qoe}});
+      }
+    }
+    return best;
+  }
+
+  RobustMpc::Params params_;
+  const VideoManifest* manifest_ = nullptr;
+  std::deque<double> past_errors_;
+  double last_prediction_mbps_ = 0.0;
+  bool has_prediction_ = false;
+};
+
+/// Log-uniform bandwidth in [0.05, 10] Mbps, the range the gates sweep.
+double random_bandwidth(Rng& rng) {
+  return std::exp(rng.uniform(std::log(0.05), std::log(10.0)));
+}
+
+/// The manifests the gate runs: the default ladder without and with VBR
+/// size wobble, and an odd 5-rung VBR ladder (the leaf fold handles qualities
+/// in pairs, so an odd count exercises its single-quality tail).
+enum class GateManifest { kCbr, kVbr, kOddVbr };
+
+VideoManifest gate_manifest(GateManifest which) {
+  switch (which) {
+    case GateManifest::kCbr:
+      return exact_manifest();
+    case GateManifest::kVbr:
+      return VideoManifest{};
+    case GateManifest::kOddVbr:
+      return VideoManifest{{.bitrates_kbps = {300, 750, 1850, 2850, 4300}}};
+  }
+  return VideoManifest{};
+}
+
+std::string gate_manifest_name(GateManifest which) {
+  switch (which) {
+    case GateManifest::kCbr:
+      return "cbr";
+    case GateManifest::kVbr:
+      return "vbr";
+    case GateManifest::kOddVbr:
+      return "odd5vbr";
+  }
+  return "?";
+}
+
+struct MpcIdentityConfig {
+  GateManifest manifest;
+  bool robust;
+  std::size_t horizon;
+};
+
+class MpcDecisionIdentity
+    : public ::testing::TestWithParam<MpcIdentityConfig> {};
+
+TEST_P(MpcDecisionIdentity, MatchesTheReferenceSearchOnEveryDecision) {
+  // Each playback streams the whole video, so the final chunks exercise the
+  // horizon truncation; startup buffer and per-playback link regime vary so
+  // both the stall-bound and the buffer-cap branches are reached.
+  const MpcIdentityConfig config = GetParam();
+  const VideoManifest manifest = gate_manifest(config.manifest);
+  const RobustMpc::Params params{.horizon = config.horizon,
+                                 .robust = config.robust};
+  RobustMpc mpc{params};
+  ReferenceMpc reference{params};
+  Rng rng{1000 + config.horizon * 8 +
+          static_cast<std::size_t>(config.manifest) * 2 +
+          (config.robust ? 1 : 0)};
+  constexpr int kPlaybacks = 200;
+  std::size_t decisions = 0;
+  for (int playback = 0; playback < kPlaybacks; ++playback) {
+    mpc.begin_video(manifest);
+    reference.begin_video(manifest);
+    StreamingSession session{
+        manifest, {.max_buffer_s = 60.0, .startup_buffer_s = rng.uniform(0.0, 20.0)}};
+    AbrObservationTracker tracker{manifest, 1 + rng.index(8)};
+    // Half the playbacks redraw the link every chunk; the rest hold it for a
+    // while, which lets the buffer fill to the cap.
+    const double hold = playback % 2 == 0 ? 0.0 : 0.8;
+    double bandwidth = random_bandwidth(rng);
+    while (!session.finished()) {
+      tracker.sync_session(session.next_chunk(), session.remaining_chunks(),
+                           session.buffer_s());
+      const std::size_t expected = reference.choose_quality(tracker.current());
+      const std::size_t got = mpc.choose_quality(tracker.current());
+      ASSERT_EQ(got, expected)
+          << "playback " << playback << ", chunk " << session.next_chunk()
+          << ", buffer " << session.buffer_s();
+      ++decisions;
+      if (rng.uniform() >= hold) bandwidth = random_bandwidth(rng);
+      const DownloadResult result = session.download_next(got, bandwidth);
+      tracker.on_chunk(got, result.bitrate_mbps, result.throughput_mbps,
+                       result.download_time_s);
+    }
+  }
+  EXPECT_EQ(decisions, kPlaybacks * manifest.num_chunks());
+}
+
+std::vector<MpcIdentityConfig> mpc_identity_configs() {
+  std::vector<MpcIdentityConfig> configs;
+  for (const GateManifest manifest : {GateManifest::kCbr, GateManifest::kVbr}) {
+    for (const bool robust : {true, false}) {
+      for (std::size_t horizon = 1; horizon <= 6; ++horizon) {
+        configs.push_back({manifest, robust, horizon});
+      }
+    }
+  }
+  for (std::size_t horizon = 1; horizon <= 6; ++horizon) {
+    configs.push_back({GateManifest::kOddVbr, true, horizon});
+  }
+  return configs;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ManifestsVariantsHorizons, MpcDecisionIdentity,
+    ::testing::ValuesIn(mpc_identity_configs()),
+    [](const ::testing::TestParamInfo<MpcIdentityConfig>& info) {
+      return gate_manifest_name(info.param.manifest) + "_" +
+             (info.param.robust ? "mpc" : "fastmpc") + "_h" +
+             std::to_string(info.param.horizon);
+    });
 
 // ---------------------------------------------------------------- mpc-dp
 
@@ -720,6 +1006,100 @@ TEST(OptimalWindow, ValidatesInputs) {
   const std::vector<std::size_t> plan{0};
   const std::vector<double> bw{1.0, 2.0};
   EXPECT_THROW(window_qoe(m, 0, 0.0, 0.3, plan, bw), std::invalid_argument);
+}
+
+TEST(OptimalWindow, RejectsNonFiniteBandwidthNamingTheIndex) {
+  const VideoManifest m;
+  const std::vector<std::size_t> plan{0, 0, 0};
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity(), 0.0}) {
+    const std::vector<double> bw{2.0, 2.0, bad};
+    try {
+      optimal_window_qoe(m, 0, 0.0, 0.3, bw);
+      FAIL() << "optimal_window_qoe accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("bandwidths_mbps[2]"),
+                std::string::npos)
+          << e.what();
+    }
+    try {
+      window_qoe(m, 0, 0.0, 0.3, plan, bw);
+      FAIL() << "window_qoe accepted " << bad;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string{e.what()}.find("bandwidths_mbps[2]"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+// r_opt as first written: a recursion that looks every chunk size and
+// bitrate up per node. optimal_window_qoe must return the same bits.
+double reference_best_window_qoe(const VideoManifest& manifest,
+                                 std::size_t start_chunk, std::size_t depth,
+                                 double buffer, double prev_bitrate,
+                                 const std::vector<double>& bandwidths,
+                                 double max_buffer_s) {
+  const std::size_t chunk = start_chunk + depth;
+  if (depth >= bandwidths.size() || chunk >= manifest.num_chunks()) return 0.0;
+  double best = -std::numeric_limits<double>::infinity();
+  for (std::size_t q = 0; q < manifest.num_qualities(); ++q) {
+    const double dt =
+        manifest.chunk_size_bits(chunk, q) / (bandwidths[depth] * 1e6);
+    const double rebuffer = std::max(0.0, dt - buffer);
+    const double buffer_after = std::min(
+        std::max(0.0, buffer - dt) + manifest.chunk_duration_s(), max_buffer_s);
+    const double bitrate = manifest.bitrate_mbps(q);
+    const double here = chunk_qoe(bitrate, rebuffer, prev_bitrate);
+    const double rest =
+        reference_best_window_qoe(manifest, start_chunk, depth + 1,
+                                  buffer_after, bitrate, bandwidths,
+                                  max_buffer_s);
+    best = std::max(best, here + rest);
+  }
+  return best;
+}
+
+TEST(OptimalWindow, BitwiseIdenticalToTheReferenceRecursion) {
+  // A 16-rung ladder makes 4- and 5-chunk windows outgrow the search's
+  // stack table, so its heap fallback is compared too.
+  VideoManifest::Params wide;
+  wide.bitrates_kbps.clear();
+  for (int rung = 0; rung < 16; ++rung) {
+    wide.bitrates_kbps.push_back(200.0 + 300.0 * rung);
+  }
+  struct Case {
+    VideoManifest manifest;
+    int trials;
+    std::size_t max_window;
+  };
+  const std::vector<Case> cases{{exact_manifest(), 2000, 5},
+                                {VideoManifest{}, 2000, 5},
+                                {VideoManifest{wide}, 100, 4}};
+  Rng rng{77};
+  for (const Case& c : cases) {
+    const VideoManifest& m = c.manifest;
+    for (int trial = 0; trial < c.trials; ++trial) {
+      // Start chunks biased toward the end of the video so truncated
+      // windows (and windows past the end) are common.
+      std::vector<double> bw(1 + rng.index(c.max_window));
+      for (double& b : bw) b = random_bandwidth(rng);
+      const std::size_t start = trial % 4 == 0
+                                    ? m.num_chunks() - rng.index(7)
+                                    : rng.index(m.num_chunks());
+      const double buffer = trial % 8 == 0 ? 0.0 : rng.uniform(0.0, 60.0);
+      const double prev = m.bitrate_mbps(rng.index(m.num_qualities()));
+      const double max_buffer = trial % 3 == 0 ? 20.0 : 60.0;
+      const double got =
+          optimal_window_qoe(m, start, buffer, prev, bw, {}, max_buffer);
+      const double expected =
+          reference_best_window_qoe(m, start, 0, buffer, prev, bw, max_buffer);
+      ASSERT_EQ(std::memcmp(&got, &expected, sizeof got), 0)
+          << m.num_qualities() << " qualities, trial " << trial << ": " << got
+          << " vs " << expected;
+    }
+  }
 }
 
 TEST(OptimalWindow, WindowPastVideoEndIsTruncated) {

@@ -110,6 +110,42 @@ TEST(Cli, GenWritesTraceFiles) {
   EXPECT_NE(output.find("wrote"), std::string::npos);
 }
 
+TEST(Cli, GenRejectsMalformedCountsWithoutWritingFiles) {
+  // "-1" used to wrap to 2^64-1 (files written until killed) and "2abc"
+  // read as 2.
+  for (const std::string count : {"-1", "2abc", "", "+2", " 2", "1e3"}) {
+    const std::string prefix = out_dir() + "/badgen";
+    std::filesystem::remove(prefix + "_0.csv");
+    std::string output;
+    EXPECT_EQ(run_cli("gen fcc '" + count + "' " + prefix, &output), 2)
+        << count;
+    EXPECT_NE(output.find("<count>"), std::string::npos) << output;
+    EXPECT_FALSE(std::filesystem::exists(prefix + "_0.csv")) << count;
+  }
+}
+
+TEST(Cli, AttackAndServeRejectMalformedCounts) {
+  const std::string prefix = out_dir() + "/badattack";
+  std::filesystem::remove(prefix + "_0.csv");
+  std::string output;
+  EXPECT_EQ(run_cli("attack bb 10x 1 " + prefix, &output), 2);
+  EXPECT_NE(output.find("<steps>"), std::string::npos) << output;
+  EXPECT_EQ(output.find("training"), std::string::npos) << output;
+  EXPECT_EQ(run_cli("attack bb 10 -1 " + prefix, &output), 2);
+  EXPECT_NE(output.find("<count>"), std::string::npos) << output;
+  EXPECT_FALSE(std::filesystem::exists(prefix + "_0.csv"));
+  // The count is checked before the trace is opened, so a missing trace
+  // does not mask it as a runtime error.
+  const std::string missing = "/tmp/netadv_no_such_trace.csv";
+  const std::string summaries = out_dir() + "/badserve.csv";
+  std::filesystem::remove(summaries);
+  EXPECT_EQ(run_cli("serve bb lin 4x " + missing + " " + summaries, &output),
+            2);
+  EXPECT_NE(output.find("<sessions>"), std::string::npos) << output;
+  EXPECT_EQ(run_cli("serve bb lin -4 " + missing + " " + summaries), 2);
+  EXPECT_FALSE(std::filesystem::exists(summaries));
+}
+
 TEST(Cli, EvalReportsQoeOnAGeneratedTrace) {
   const std::string prefix = out_dir() + "/eval";
   ASSERT_EQ(run_cli("gen fcc 1 " + prefix), 0);
@@ -328,6 +364,18 @@ TEST(Cli, CampaignWorkerFlagValidation) {
   EXPECT_EQ(run_cli("campaign spec --lease -1"), 2);
   EXPECT_EQ(run_cli("campaign spec --poll-ms 0"), 2);
   EXPECT_EQ(run_cli("campaign spec --worker --spawn-workers 2"), 2);
+  // Strict numbers: trailing text, signs and non-finite values are usage
+  // errors that name the flag (they used to read as 3, 20 and a NaN lease).
+  for (const std::string flag :
+       {"--spawn-workers 3x", "--spawn-workers -2", "--poll-ms 20ms",
+        "--poll-ms 99999999999", "--lease nan", "--lease inf",
+        "--lease 1.5s"}) {
+    std::string output;
+    EXPECT_EQ(run_cli("campaign spec " + flag, &output), 2) << flag;
+    EXPECT_NE(output.find("bad value for " + flag.substr(0, flag.find(' '))),
+              std::string::npos)
+        << output;
+  }
   EXPECT_EQ(run_cli("campaign spec --worker --dry-run"), 2);
 }
 
