@@ -33,7 +33,8 @@ void run_fig3() {
 
   const std::size_t steps = util::scaled_steps(120000, 4096);
   util::log_info("fig3: training adversary vs BB (%zu steps)", steps);
-  rl::PpoAgent adversary = core::train_abr_adversary(env, steps, 303);
+  rl::PpoAgent adversary =
+      core::train_adversary(env, core::abr_adversary_ppo_config(), steps, 303);
 
   util::Rng rng{304};
   const core::AbrEpisodeRecord record =

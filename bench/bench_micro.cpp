@@ -419,9 +419,9 @@ void write_parallel_artifact() {
     sample.threads = threads;
     sample.seconds = time_seconds([&] {
       const std::vector<rl::PpoAgent> adversaries =
-          core::train_abr_adversaries(
-              {{.env = &env0, .steps = 1, .seed = 7},
-               {.env = &env1, .steps = 1, .seed = 13}},
+          core::train_adversaries(
+              {{&env0, core::abr_adversary_ppo_config(), 1, 7},
+               {&env1, core::abr_adversary_ppo_config(), 1, 13}},
               &pool);
       const auto traces = core::record_abr_traces(
           adversaries[0], mini,

@@ -118,9 +118,10 @@ Fig1Artifacts build_fig1_artifacts(std::uint64_t seed) {
                  "concurrently (%zu steps each)", adversary_steps);
   core::AbrAdversaryEnv env_mpc{m, mpc};
   core::AbrAdversaryEnv env_pen{m, pensieve_policy};
-  std::vector<rl::PpoAgent> adversaries = core::train_abr_adversaries(
-      {{.env = &env_mpc, .steps = adversary_steps, .seed = 11},
-       {.env = &env_pen, .steps = adversary_steps, .seed = 57}},
+  const rl::PpoConfig config = core::abr_adversary_ppo_config();
+  std::vector<rl::PpoAgent> adversaries = core::train_adversaries(
+      {{&env_mpc, config, adversary_steps, 11},
+       {&env_pen, config, adversary_steps, 57}},
       &pool);
   const rl::PpoAgent& adv_mpc = adversaries[0];
   const rl::PpoAgent& adv_pen = adversaries[1];

@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
   core::CcAdversaryEnv env;
   std::printf("training adversary against BBR (%zu pairs of 30 ms)...\n",
               steps);
-  rl::PpoAgent adversary = core::train_cc_adversary(env, steps, 11);
+  rl::PpoAgent adversary =
+      core::train_adversary(env, core::cc_adversary_ppo_config(), steps, 11);
 
   util::Rng rng{12};
   const core::CcEpisodeRecord record =

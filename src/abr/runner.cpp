@@ -86,12 +86,7 @@ std::vector<double> qoe_per_trace(const ProtocolFactory& make_protocol,
     }
     return run_playback(*protocol, manifest, traces[i], qoe).mean_chunk_qoe;
   };
-  if (pool == nullptr) {
-    std::vector<double> result(traces.size());
-    for (std::size_t i = 0; i < traces.size(); ++i) result[i] = replay_one(i);
-    return result;
-  }
-  return pool->parallel_map(traces.size(), replay_one);
+  return util::parallel_map(pool, traces.size(), replay_one);
 }
 
 }  // namespace netadv::abr

@@ -1,7 +1,9 @@
 #include "cc/link.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
+#include <string>
 
 namespace netadv::cc {
 
@@ -9,17 +11,31 @@ LinkSim::LinkSim(Params params)
     : conditions_(params.initial),
       packet_bytes_(params.packet_bytes),
       max_queue_delay_s_(params.max_queue_delay_s) {
-  if (packet_bytes_ <= 0.0 || max_queue_delay_s_ <= 0.0) {
+  if (!(packet_bytes_ > 0.0) || !(max_queue_delay_s_ > 0.0)) {
     throw std::invalid_argument{"LinkSim: bad parameters"};
   }
   set_conditions(params.initial);
 }
 
 void LinkSim::set_conditions(const LinkConditions& conditions) {
-  if (conditions.bandwidth_mbps <= 0.0 || conditions.one_way_delay_ms < 0.0 ||
-      conditions.loss_rate < 0.0 || conditions.loss_rate > 1.0) {
-    throw std::invalid_argument{"LinkSim: bad conditions"};
-  }
+  // Each check states what must hold, so NaN (false under every comparison)
+  // fails it instead of slipping past a "reject if out of range" test.
+  const auto require = [](bool ok, const char* field, const char* range,
+                          double value) {
+    if (!ok) {
+      throw std::invalid_argument{"LinkSim: " + std::string{field} +
+                                  " must be " + range + ", got " +
+                                  std::to_string(value)};
+    }
+  };
+  require(std::isfinite(conditions.bandwidth_mbps) &&
+              conditions.bandwidth_mbps > 0.0,
+          "bandwidth_mbps", "finite and > 0", conditions.bandwidth_mbps);
+  require(std::isfinite(conditions.one_way_delay_ms) &&
+              conditions.one_way_delay_ms >= 0.0,
+          "one_way_delay_ms", "finite and >= 0", conditions.one_way_delay_ms);
+  require(conditions.loss_rate >= 0.0 && conditions.loss_rate <= 1.0,
+          "loss_rate", "in [0, 1]", conditions.loss_rate);
   conditions_ = conditions;
 }
 

@@ -107,13 +107,8 @@ EvalMatrix eval_matrix(const abr::VideoManifest& manifest,
     matrix.cells[flat] = cell;
   };
 
-  if (pool != nullptr) {
-    pool->parallel_for(rows.size(), optimal_row);
-    pool->parallel_for(matrix.cells.size(), fill_cell);
-  } else {
-    for (std::size_t r = 0; r < rows.size(); ++r) optimal_row(r);
-    for (std::size_t i = 0; i < matrix.cells.size(); ++i) fill_cell(i);
-  }
+  util::parallel_for(pool, rows.size(), optimal_row);
+  util::parallel_for(pool, matrix.cells.size(), fill_cell);
   return matrix;
 }
 

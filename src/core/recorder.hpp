@@ -120,12 +120,7 @@ struct FairnessEpisodeRecord {
   trace::Trace trace;             ///< per-epoch segments, replayable
 };
 
-FairnessEpisodeRecord record_fairness_episode(rl::PpoAgent& agent,
-                                              FairnessAdversaryEnv& env,
-                                              util::Rng& rng,
-                                              bool deterministic = true);
-
-/// Batch variant: `count` episodes across `pool` (sequentially when null),
+/// Record `count` fairness episodes across `pool` (sequentially when null),
 /// one fresh (cloned agent, fresh env with fresh mix senders) pair per task.
 /// Same determinism contract as record_cc_episodes: streams forked from
 /// `seed` in episode order on the caller, results reduced by episode index,
@@ -162,9 +157,9 @@ std::vector<CcReplayResult> replay_cc_traces(
     const cc::LinkSim::Params& link_params, std::uint64_t seed,
     util::ThreadPool* pool = nullptr);
 
-/// Replay a recorded trace against a whole flow mix on a shared bottleneck —
-/// the fairness analogue of replay_cc_trace. Starts are staggered by
-/// `stagger_s` like the env's kFairness scenario.
+/// Replay of one recorded trace against a whole flow mix on a shared
+/// bottleneck — the fairness analogue of CcReplayResult. Flow starts are
+/// staggered by `stagger_s` like the env's kFairness scenario.
 struct FairnessReplayResult {
   double mean_jain = 1.0;
   double mean_victim_utilization = 0.0;
@@ -173,12 +168,8 @@ struct FairnessReplayResult {
   std::vector<double> jain;                       ///< per segment
 };
 
-FairnessReplayResult replay_fairness_trace(
-    const std::vector<SenderFactory>& mix, const trace::Trace& t,
-    const cc::LinkSim::Params& link_params, double stagger_s,
-    std::uint64_t seed);
-
-/// Corpus variant, same determinism contract as replay_cc_traces.
+/// Replay a whole trace corpus against the mix, one fresh set of senders
+/// per trace; same determinism contract as replay_cc_traces.
 std::vector<FairnessReplayResult> replay_fairness_traces(
     const std::vector<SenderFactory>& mix,
     const std::vector<trace::Trace>& traces,

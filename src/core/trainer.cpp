@@ -68,78 +68,22 @@ rl::PpoAgent restore_adversary(const rl::Env& env, const rl::PpoConfig& config,
   return agent;
 }
 
-rl::PpoAgent train_abr_adversary(AbrAdversaryEnv& env, std::size_t steps,
-                                 std::uint64_t seed,
-                                 const rl::TrainCallback& callback,
-                                 util::ThreadPool* pool) {
-  return train_adversary(env, abr_adversary_ppo_config(), steps, seed,
-                         callback, pool);
-}
-
-rl::PpoAgent train_cc_adversary(CcAdversaryEnv& env, std::size_t steps,
-                                std::uint64_t seed,
-                                const rl::TrainCallback& callback,
-                                util::ThreadPool* pool) {
-  return train_adversary(env, cc_adversary_ppo_config(), steps, seed,
-                         callback, pool);
-}
-
-namespace {
-
-/// Shared fan-out for the two adversary families: run `train_one(i)` for
-/// every job slot concurrently (results to their own index), then unwrap.
-template <typename TrainOne>
-std::vector<rl::PpoAgent> train_concurrently(std::size_t count,
-                                             util::ThreadPool* pool,
-                                             const TrainOne& train_one) {
-  // PpoAgent is not default-constructible, so tasks fill optional slots.
-  std::vector<std::optional<rl::PpoAgent>> slots(count);
-  auto run = [&](std::size_t i) { slots[i].emplace(train_one(i)); };
-  if (pool == nullptr) {
-    for (std::size_t i = 0; i < count; ++i) run(i);
-  } else {
-    pool->parallel_for(count, run);
-  }
-  std::vector<rl::PpoAgent> agents;
-  agents.reserve(count);
-  for (auto& slot : slots) agents.push_back(std::move(*slot));
-  return agents;
-}
-
-}  // namespace
-
 std::vector<rl::PpoAgent> train_adversaries(
     const std::vector<AdversaryJob>& jobs, util::ThreadPool* pool) {
-  return train_concurrently(jobs.size(), pool, [&](std::size_t i) {
+  // PpoAgent is not default-constructible, so tasks fill optional slots.
+  std::vector<std::optional<rl::PpoAgent>> slots(jobs.size());
+  util::parallel_for(pool, jobs.size(), [&](std::size_t i) {
     const AdversaryJob& job = jobs[i];
     if (job.env == nullptr) {
       throw std::invalid_argument{"train_adversaries: null env"};
     }
-    return train_adversary(*job.env, job.config, job.steps, job.seed, nullptr,
-                           pool);
+    slots[i].emplace(train_adversary(*job.env, job.config, job.steps,
+                                     job.seed, nullptr, pool));
   });
-}
-
-std::vector<rl::PpoAgent> train_abr_adversaries(
-    const std::vector<AbrAdversaryJob>& jobs, util::ThreadPool* pool) {
-  std::vector<AdversaryJob> generic;
-  generic.reserve(jobs.size());
-  for (const AbrAdversaryJob& job : jobs) {
-    generic.push_back(
-        {job.env, abr_adversary_ppo_config(), job.steps, job.seed});
-  }
-  return train_adversaries(generic, pool);
-}
-
-std::vector<rl::PpoAgent> train_cc_adversaries(
-    const std::vector<CcAdversaryJob>& jobs, util::ThreadPool* pool) {
-  std::vector<AdversaryJob> generic;
-  generic.reserve(jobs.size());
-  for (const CcAdversaryJob& job : jobs) {
-    generic.push_back(
-        {job.env, cc_adversary_ppo_config(), job.steps, job.seed});
-  }
-  return train_adversaries(generic, pool);
+  std::vector<rl::PpoAgent> agents;
+  agents.reserve(slots.size());
+  for (auto& slot : slots) agents.push_back(std::move(*slot));
+  return agents;
 }
 
 RobustifyResult robustify_pensieve(rl::PpoAgent& pensieve,

@@ -10,13 +10,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <vector>
-
 #include <string>
+#include <vector>
 
 #include "abr/pensieve.hpp"
 #include "core/abr_adversary.hpp"
-#include "core/cc_adversary.hpp"
 #include "core/registry.hpp"
 #include "rl/ppo.hpp"
 #include "trace/trace.hpp"
@@ -53,35 +51,11 @@ rl::PpoAgent train_adversary(rl::Env& env, const rl::PpoConfig& config,
 rl::PpoAgent restore_adversary(const rl::Env& env, const rl::PpoConfig& config,
                                const std::string& checkpoint);
 
-/// Domain-flavored wrappers: train_adversary with that domain's config.
-rl::PpoAgent train_abr_adversary(AbrAdversaryEnv& env, std::size_t steps,
-                                 std::uint64_t seed,
-                                 const rl::TrainCallback& callback = nullptr,
-                                 util::ThreadPool* pool = nullptr);
-
-rl::PpoAgent train_cc_adversary(CcAdversaryEnv& env, std::size_t steps,
-                                std::uint64_t seed,
-                                const rl::TrainCallback& callback = nullptr,
-                                util::ThreadPool* pool = nullptr);
-
 /// One independent adversary-training job: its own env (never shared between
 /// jobs — envs are stateful), its own PPO config, and its own seed.
 struct AdversaryJob {
   rl::Env* env = nullptr;
   rl::PpoConfig config{};
-  std::size_t steps = 0;
-  std::uint64_t seed = 0;
-};
-
-/// Domain-flavored job aliases: the env type selects the config.
-struct AbrAdversaryJob {
-  AbrAdversaryEnv* env = nullptr;
-  std::size_t steps = 0;
-  std::uint64_t seed = 0;
-};
-
-struct CcAdversaryJob {
-  CcAdversaryEnv* env = nullptr;
   std::size_t steps = 0;
   std::uint64_t seed = 0;
 };
@@ -99,13 +73,6 @@ struct CcAdversaryJob {
 /// shadow-buffer path is bit-identical to sequential by construction.
 std::vector<rl::PpoAgent> train_adversaries(
     const std::vector<AdversaryJob>& jobs, util::ThreadPool* pool = nullptr);
-
-/// Domain-flavored wrappers over train_adversaries.
-std::vector<rl::PpoAgent> train_abr_adversaries(
-    const std::vector<AbrAdversaryJob>& jobs, util::ThreadPool* pool = nullptr);
-
-std::vector<rl::PpoAgent> train_cc_adversaries(
-    const std::vector<CcAdversaryJob>& jobs, util::ThreadPool* pool = nullptr);
 
 /// Configuration of the full robustification run (Figure 4's treatment).
 struct RobustifyConfig {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdarg>
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -151,160 +152,345 @@ void copy_bytes(const std::string& from, const std::string& to) {
   if (!out) throw std::runtime_error{"cannot write " + to};
 }
 
-/// Resolve `protocol =` against the domain's registry exactly once, up
-/// front: a bad name (or a missing pensieve checkpoint) fails the job here,
-/// before any artifact is written, and the returned factory is handed to
-/// every batch API that needs fresh targets.
-core::ProtocolFactory abr_target_factory(const JobContext& ctx) {
+/// Resolve `protocol =` against a target registry exactly once, up front: a
+/// bad name (or a missing pensieve checkpoint) fails the job here, before
+/// any artifact is written, and the returned factory is handed to every
+/// batch API that needs fresh targets.
+template <typename T>
+std::function<std::unique_ptr<T>()> target_factory(
+    const JobContext& ctx, const core::Registry<T>& registry) {
   try {
-    return core::abr_protocols().factory(ctx.job->value_or("protocol", ""),
-                                         target_args(ctx));
+    return registry.factory(ctx.job->value_or("protocol", ""),
+                            target_args(ctx));
   } catch (const std::exception& e) {
     job_fail(ctx, e.what());
   }
 }
 
-core::SenderFactory cc_target_factory(const JobContext& ctx) {
-  try {
-    return core::cc_senders().factory(ctx.job->value_or("protocol", ""),
-                                      target_args(ctx));
-  } catch (const std::exception& e) {
-    job_fail(ctx, e.what());
-  }
-}
-
-/// CC episode shape: `duration = <seconds>` shortens Figure 5's 30-s
-/// episodes (1000 epochs) — campaigns and tests use it to bound work.
-core::CcAdversaryEnv::Params cc_env_params(const JobContext& ctx) {
-  core::CcAdversaryEnv::Params params;
-  params.episode_duration_s =
-      double_param(ctx, "duration", params.episode_duration_s);
-  if (params.episode_duration_s <= 0.0) {
+/// CC and fairness episode length: `duration = <seconds>` shortens Figure
+/// 5's 30-s episodes (1000 epochs) — campaigns and tests use it to bound
+/// work.
+double duration_param(const JobContext& ctx, double fallback) {
+  const double duration = double_param(ctx, "duration", fallback);
+  if (duration <= 0.0) {
     job_fail(ctx, "duration must be a positive number of episode seconds");
   }
-  return params;
+  return duration;
 }
 
-/// Shared setup for the fairness-family adversary kinds (fairness,
-/// cross-traffic, late-join): flow mix from `flows =` (default bbr,bbr)
-/// resolved through the cc_senders registry, reward variant from
-/// `reward = jain | victim`, episode length from `duration =`.
-struct FairnessSetup {
-  core::FairnessAdversaryEnv::Params params;
-  std::vector<core::FairnessAdversaryEnv::SenderFactory> factories;
-  std::string mix_names;
+/// A job note, printf-formatted.
+[[gnu::format(printf, 1, 2)]] std::string note_printf(const char* format,
+                                                      ...) {
+  char note[160];
+  va_list args;
+  va_start(args, format);
+  std::vsnprintf(note, sizeof note, format, args);
+  va_end(args);
+  return note;
+}
+
+/// A per-trace (or per-episode) CSV: `header`, then one line per row, each
+/// prefixed with its index.
+struct Table {
+  std::vector<std::string> header;
+  std::vector<std::vector<double>> rows;
 };
 
-FairnessSetup fairness_setup(const JobContext& ctx,
-                             core::FairnessAdversaryEnv::Scenario scenario) {
-  if (domain_param(ctx) != core::TargetDomain::kCc) {
-    job_fail(ctx, "fairness adversaries need domain = cc");
+void write_table(const Table& table, const std::string& path) {
+  util::CsvWriter writer{path};
+  writer.write_row(table.header);
+  for (std::size_t i = 0; i < table.rows.size(); ++i) {
+    std::vector<double> row{static_cast<double>(i)};
+    row.insert(row.end(), table.rows[i].begin(), table.rows[i].end());
+    writer.write_row(row);
   }
-  FairnessSetup setup;
-  setup.params.scenario = scenario;
-  setup.mix_names = ctx.job->value_or("flows", "bbr,bbr");
+}
+
+/// The per-flow columns fairness record summaries and multi-flow replays
+/// share.
+std::vector<std::string> flow_header(const std::string& index,
+                                     std::size_t flow_count) {
+  std::vector<std::string> header{index};
+  for (std::size_t f = 0; f < flow_count; ++f) {
+    header.push_back("flow" + std::to_string(f) + "_mbps");
+  }
+  header.insert(header.end(),
+                {"jain", "victim_utilization", "aggregate_utilization"});
+  return header;
+}
+
+/// What a record or replay produced: the corpus (record-traces only), the
+/// summary or replay table, and the job note.
+struct Outcome {
+  std::vector<trace::Trace> traces;
+  Table table;
+  std::string note;
+};
+
+/// One job's attack target, resolved once from its `domain`, `adversary`,
+/// `protocol` and `flows` keys. resolve_target() is the only place the
+/// train-adversary, record-traces and replay executors branch on ABR / CC /
+/// fairness.
+struct Target {
+  std::string label;  ///< the protocol's or sender's name, or the flow mix
+  rl::PpoConfig config;  ///< the adversary's PPO setup
+  /// A fresh adversary env that owns the target it attacks.
+  std::function<std::shared_ptr<rl::Env>()> make_env;
+  /// Roll a trained adversary out `count` times.
+  std::function<Outcome(const rl::PpoAgent&, std::size_t count)> record;
+  /// CEM: search `count` traces directly (ABR only).
+  std::function<Outcome(std::size_t count)> search;
+  /// Replay a recorded trace set into `replay_suffix`.
+  std::function<Outcome(const std::vector<trace::Trace>&)> replay;
+  std::string replay_suffix = "_replay.csv";
+};
+
+/// AbrAdversaryEnv holds its protocol by reference; this keeps the two
+/// alive together behind one shared_ptr<rl::Env>.
+struct OwnedAbrEnv {
+  explicit OwnedAbrEnv(std::unique_ptr<abr::AbrProtocol> target)
+      : protocol(std::move(target)), env(job_manifest(), *protocol) {}
+  std::unique_ptr<abr::AbrProtocol> protocol;
+  core::AbrAdversaryEnv env;
+};
+
+/// Per-trace regret (offline-optimal minus protocol QoE) of an ABR corpus.
+Outcome regret_summary(const core::ProtocolFactory& make_target,
+                       std::vector<trace::Trace> traces) {
+  const abr::VideoManifest manifest = job_manifest();
+  Outcome out;
+  out.table.header = {"trace", "optimal_qoe", "protocol_qoe", "regret"};
+  double total = 0.0;
+  for (const trace::Trace& t : traces) {
+    const double optimal = abr::optimal_playback(manifest, t).total_qoe;
+    const double got =
+        abr::run_playback(*make_target(), manifest, t).total_qoe;
+    out.table.rows.push_back({optimal, got, optimal - got});
+    total += optimal - got;
+  }
+  out.note = note_printf(
+      "%zu traces, mean regret %.2f QoE", traces.size(),
+      traces.empty() ? 0.0 : total / static_cast<double>(traces.size()));
+  out.traces = std::move(traces);
+  return out;
+}
+
+/// CEM: one independent search per trace, stream-forked before dispatch, so
+/// the corpus is bit-identical at any thread count.
+std::vector<trace::Trace> cem_traces(const JobContext& ctx,
+                                     const core::ProtocolFactory& make_target,
+                                     std::size_t count) {
+  core::CemTraceAdversary::Params params;
+  params.population = size_param(ctx, "population", params.population);
+  const std::size_t nominal_iterations =
+      size_param(ctx, "iterations", params.iterations);
+  params.iterations = std::max<std::size_t>(
+      static_cast<std::size_t>(static_cast<double>(nominal_iterations) *
+                               std::min(1.0, util::bench_scale())),
+      2);
+  const core::CemTraceAdversary cem{params};
+  const abr::VideoManifest manifest = job_manifest();
+  std::vector<util::Rng> streams = util::Rng{ctx.seed}.fork_streams(count);
+  return util::parallel_map(ctx.pool, count, [&](std::size_t i) {
+    return cem.search(manifest, *make_target(), streams[i]).best_trace;
+  });
+}
+
+Target abr_target(const JobContext& ctx) {
+  const core::ProtocolFactory make_target =
+      target_factory(ctx, core::abr_protocols());
+  Target target;
+  target.label = make_target()->name();
+  target.make_env = [make_target]() -> std::shared_ptr<rl::Env> {
+    const auto owned = std::make_shared<OwnedAbrEnv>(make_target());
+    return {owned, &owned->env};
+  };
+  target.record = [&ctx, make_target](const rl::PpoAgent& agent,
+                                      std::size_t count) {
+    return regret_summary(
+        make_target,
+        core::record_abr_traces(agent, job_manifest(), make_target,
+                                core::AbrAdversaryEnv::Params{}, count,
+                                ctx.seed, /*deterministic=*/false, ctx.pool));
+  };
+  target.search = [&ctx, make_target](std::size_t count) {
+    return regret_summary(make_target, cem_traces(ctx, make_target, count));
+  };
+  target.replay = [&ctx, make_target](const std::vector<trace::Trace>& traces) {
+    const std::vector<double> qoe = abr::qoe_per_trace(
+        make_target, job_manifest(), traces, {}, ctx.pool);
+    Outcome out;
+    out.table.header = {"trace", "qoe"};
+    for (const double q : qoe) out.table.rows.push_back({q});
+    out.note = note_printf("%zu replays, mean QoE %.2f", qoe.size(),
+                           qoe.empty() ? 0.0 : util::mean(qoe));
+    return out;
+  };
+  target.replay_suffix = "_qoe.csv";
+  return target;
+}
+
+Target cc_target(const JobContext& ctx) {
+  const core::SenderFactory make_sender =
+      target_factory(ctx, core::cc_senders());
+  core::CcAdversaryEnv::Params params;
+  params.episode_duration_s = duration_param(ctx, params.episode_duration_s);
+  Target target;
+  target.label = make_sender()->name();
+  target.make_env = [params, make_sender] {
+    return std::make_shared<core::CcAdversaryEnv>(params, make_sender);
+  };
+  // The summary is per-episode utilization, the CC analog of regret (the
+  // adversary's success metric is how far below 1.0 it pins this).
+  target.record = [&ctx, params, make_sender](const rl::PpoAgent& agent,
+                                              std::size_t count) {
+    Outcome out;
+    out.table.header = {"trace", "mean_utilization"};
+    double total = 0.0;
+    for (const core::CcEpisodeRecord& e : core::record_cc_episodes(
+             agent, params, make_sender, count, ctx.seed,
+             /*deterministic=*/false, ctx.pool)) {
+      out.traces.push_back(e.trace);
+      out.table.rows.push_back({e.mean_utilization});
+      total += e.mean_utilization;
+    }
+    const std::size_t n = out.traces.size();
+    const double mean = n == 0 ? 0.0 : total / static_cast<double>(n);
+    out.note = note_printf("%zu cc episodes, mean utilization %.1f%%", n,
+                           100.0 * mean);
+    return out;
+  };
+  target.replay = [&ctx, make_sender](const std::vector<trace::Trace>& traces) {
+    Outcome out;
+    out.table.header = {"trace", "utilization", "throughput_mbps"};
+    double total = 0.0;
+    for (const core::CcReplayResult& r : core::replay_cc_traces(
+             make_sender, traces, {}, ctx.seed, ctx.pool)) {
+      out.table.rows.push_back({r.mean_utilization, r.mean_throughput_mbps});
+      total += r.mean_utilization;
+    }
+    const std::size_t n = out.table.rows.size();
+    out.note = note_printf(
+        "%zu cc replays, mean utilization %.1f%%", n,
+        n == 0 ? 0.0 : 100.0 * total / static_cast<double>(n));
+    return out;
+  };
+  return target;
+}
+
+/// A flow mix on the shared bottleneck (`flows =`, default bbr,bbr). The
+/// fairness adversary kinds attack it, paid per `reward = jain | victim`;
+/// without one the mix is only replayable.
+Target flow_mix_target(const JobContext& ctx, const std::string& adversary) {
+  Target target;
+  target.label = ctx.job->value_or("flows", "bbr,bbr");
+  std::vector<core::SenderFactory> mix;
   try {
-    setup.factories = core::resolve_flow_mix(setup.mix_names);
-    setup.params.reward =
+    mix = core::resolve_flow_mix(target.label);
+  } catch (const std::exception& e) {
+    job_fail(ctx, e.what());
+  }
+  target.replay = [&ctx, mix](const std::vector<trace::Trace>& traces) {
+    Outcome out;
+    out.table.header = flow_header("trace", mix.size());
+    double jain_total = 0.0;
+    for (const core::FairnessReplayResult& r : core::replay_fairness_traces(
+             mix, traces, {}, double_param(ctx, "stagger", 0.5), ctx.seed,
+             ctx.pool)) {
+      std::vector<double> row = r.mean_flow_throughput_mbps;
+      row.insert(row.end(), {r.mean_jain, r.mean_victim_utilization,
+                             r.mean_aggregate_utilization});
+      out.table.rows.push_back(std::move(row));
+      jain_total += r.mean_jain;
+    }
+    const std::size_t n = out.table.rows.size();
+    out.note = note_printf("%zu multi-flow replays, mean Jain %.3f", n,
+                           n == 0 ? 1.0 : jain_total / static_cast<double>(n));
+    return out;
+  };
+
+  const auto scenario = core::fairness_scenario_for(adversary);
+  if (!scenario) {
+    target.make_env = [&ctx]() -> std::shared_ptr<rl::Env> {
+      job_fail(ctx, "flows = <mix> needs a fairness adversary kind "
+                    "(fairness | cross-traffic | late-join)");
+    };
+    return target;
+  }
+  core::FairnessAdversaryEnv::Params params;
+  params.scenario = *scenario;
+  try {
+    params.reward =
         core::parse_fairness_reward(ctx.job->value_or("reward", "jain"));
   } catch (const std::exception& e) {
     job_fail(ctx, e.what());
   }
-  setup.params.episode_duration_s =
-      double_param(ctx, "duration", setup.params.episode_duration_s);
-  if (setup.params.episode_duration_s <= 0.0) {
-    job_fail(ctx, "duration must be a positive number of episode seconds");
-  }
+  params.episode_duration_s = duration_param(ctx, params.episode_duration_s);
   // Short test/smoke episodes must still see every flow start: shrink the
   // stagger (and the late-join window) with the episode so the reward gate
   // opens while there are epochs left to pay for.
-  setup.params.stagger_s = std::min(
-      setup.params.stagger_s,
-      setup.params.episode_duration_s /
-          (4.0 * static_cast<double>(setup.factories.size())));
-  setup.params.late_join_max_s =
-      std::min(setup.params.late_join_max_s,
-               setup.params.episode_duration_s / 3.0);
-  setup.params.late_join_min_s =
-      std::min(setup.params.late_join_min_s, setup.params.late_join_max_s);
-  return setup;
-}
+  params.stagger_s =
+      std::min(params.stagger_s, params.episode_duration_s /
+                                     (4.0 * static_cast<double>(mix.size())));
+  params.late_join_max_s =
+      std::min(params.late_join_max_s, params.episode_duration_s / 3.0);
+  params.late_join_min_s =
+      std::min(params.late_join_min_s, params.late_join_max_s);
 
-/// Per-episode fairness summary: per-flow mean throughput plus the two
-/// unfairness metrics, one row per recorded episode.
-void write_fairness_summary(
-    const std::vector<core::FairnessEpisodeRecord>& episodes,
-    std::size_t flow_count, const std::string& path, double* mean_jain,
-    double* mean_victim) {
-  util::CsvWriter writer{path};
-  std::vector<std::string> header{"episode"};
-  for (std::size_t f = 0; f < flow_count; ++f) {
-    header.push_back("flow" + std::to_string(f) + "_mbps");
-  }
-  header.emplace_back("jain");
-  header.emplace_back("victim_utilization");
-  header.emplace_back("aggregate_utilization");
-  writer.write_row(header);
-  double jain_total = 0.0;
-  double victim_total = 0.0;
-  for (std::size_t i = 0; i < episodes.size(); ++i) {
-    const core::FairnessEpisodeRecord& e = episodes[i];
-    std::vector<double> row{static_cast<double>(i)};
-    for (std::size_t f = 0; f < flow_count; ++f) {
-      row.push_back(f < e.flow_throughput_mbps.size()
-                        ? util::mean(e.flow_throughput_mbps[f])
-                        : 0.0);
+  target.make_env = [params, mix] {
+    return std::make_shared<core::FairnessAdversaryEnv>(params, mix);
+  };
+  target.record = [&ctx, params, mix, adversary, label = target.label](
+                      const rl::PpoAgent& agent, std::size_t count) {
+    Outcome out;
+    out.table.header = flow_header("episode", mix.size());
+    double jain_total = 0.0;
+    double victim_total = 0.0;
+    for (const core::FairnessEpisodeRecord& e : core::record_fairness_episodes(
+             agent, params, mix, count, ctx.seed, /*deterministic=*/false,
+             ctx.pool)) {
+      out.traces.push_back(e.trace);
+      std::vector<double> row;
+      for (const auto& flow : e.flow_throughput_mbps) {
+        row.push_back(util::mean(flow));
+      }
+      row.insert(row.end(), {e.mean_jain, e.mean_victim_utilization,
+                             e.mean_aggregate_utilization});
+      out.table.rows.push_back(std::move(row));
+      jain_total += e.mean_jain;
+      victim_total += e.mean_victim_utilization;
     }
-    row.push_back(e.mean_jain);
-    row.push_back(e.mean_victim_utilization);
-    row.push_back(e.mean_aggregate_utilization);
-    writer.write_row(row);
-    jain_total += e.mean_jain;
-    victim_total += e.mean_victim_utilization;
-  }
-  const double n =
-      episodes.empty() ? 1.0 : static_cast<double>(episodes.size());
-  *mean_jain = jain_total / n;
-  *mean_victim = victim_total / n;
+    const double n =
+        out.traces.empty() ? 1.0 : static_cast<double>(out.traces.size());
+    const double mean_victim = victim_total / n;
+    out.note = note_printf(
+        "%zu %s episodes vs %s, mean Jain %.3f, victim util %.1f%%",
+        out.traces.size(), adversary.c_str(), label.c_str(), jain_total / n,
+        100.0 * mean_victim);
+    return out;
+  };
+  return target;
 }
 
-/// Per-trace regret summary shared by both ABR record-traces paths.
-void write_summary(const abr::VideoManifest& manifest,
-                   const core::ProtocolFactory& make_target,
-                   const std::vector<trace::Trace>& traces,
-                   const std::string& path, double* mean_regret) {
-  util::CsvWriter writer{path};
-  writer.write_row(
-      std::vector<std::string>{"trace", "optimal_qoe", "protocol_qoe",
-                               "regret"});
-  double total = 0.0;
-  for (std::size_t i = 0; i < traces.size(); ++i) {
-    auto target = make_target();
-    const double optimal = abr::optimal_playback(manifest, traces[i]).total_qoe;
-    const double got =
-        abr::run_playback(*target, manifest, traces[i]).total_qoe;
-    writer.write_row(std::vector<double>{static_cast<double>(i), optimal, got,
-                                         optimal - got});
-    total += optimal - got;
+Target resolve_target(const JobContext& ctx) {
+  const core::TargetDomain domain = domain_param(ctx);
+  const std::string adversary = ctx.job->value_or("adversary", "ppo");
+  const bool fairness_kind = core::fairness_scenario_for(adversary).has_value();
+  Target target;
+  if (domain == core::TargetDomain::kAbr) {
+    if (fairness_kind) job_fail(ctx, "fairness adversaries need domain = cc");
+    target = abr_target(ctx);
+  } else if (adversary == "cem") {
+    job_fail(ctx, "adversary = cem needs domain = abr — CEM searches "
+                  "chunk-bandwidth traces, an ABR formulation");
+  } else if (fairness_kind || ctx.job->find("flows") != nullptr) {
+    target = flow_mix_target(ctx, adversary);
+  } else {
+    target = cc_target(ctx);
   }
-  *mean_regret =
-      traces.empty() ? 0.0 : total / static_cast<double>(traces.size());
-}
-
-/// Per-episode utilization summary, the CC analog of the regret summary
-/// (the adversary's success metric is how far below 1.0 it pins this).
-void write_cc_summary(const std::vector<core::CcEpisodeRecord>& episodes,
-                      const std::string& path, double* mean_utilization) {
-  util::CsvWriter writer{path};
-  writer.write_row(std::vector<std::string>{"trace", "mean_utilization"});
-  double total = 0.0;
-  for (std::size_t i = 0; i < episodes.size(); ++i) {
-    writer.write_row(std::vector<double>{static_cast<double>(i),
-                                         episodes[i].mean_utilization});
-    total += episodes[i].mean_utilization;
-  }
-  *mean_utilization =
-      episodes.empty() ? 0.0 : total / static_cast<double>(episodes.size());
+  // The paper's per-domain PPO setup; fairness adversaries are CC ones.
+  target.config = core::adversary_ppo_config(domain);
+  return target;
 }
 
 JobResult run_gen_traces(const JobContext& ctx) {
@@ -326,50 +512,17 @@ JobResult run_gen_traces(const JobContext& ctx) {
 
 JobResult run_train_adversary(const JobContext& ctx) {
   const std::string adversary = ctx.job->value_or("adversary", "ppo");
-  if (const auto scenario = core::fairness_scenario_for(adversary)) {
-    const FairnessSetup setup = fairness_setup(ctx, *scenario);
-    const std::size_t steps =
-        util::scaled_steps(size_param(ctx, "steps", 80000), 256);
-    core::FairnessAdversaryEnv env{setup.params, setup.factories};
-    rl::PpoAgent agent = core::train_adversary(
-        env, core::cc_adversary_ppo_config(), steps, ctx.seed, nullptr,
-        ctx.pool);
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_adversary.ckpt"));
-    rl::save_checkpoint(agent, result.artifacts.back());
-    if (const std::string* store_name = ctx.job->find("store_name")) {
-      result.artifacts.push_back(publish_checkpoint(
-          ctx, *store_name, "adversary", result.artifacts.front()));
-    }
-    result.note = "PPO " + adversary + " adversary vs " + setup.mix_names +
-                  ", " + std::to_string(steps) + " steps";
-    return result;
-  }
-  if (adversary != "ppo") {
+  if (adversary != "ppo" && !core::fairness_scenario_for(adversary)) {
     job_fail(ctx, "train-adversary supports adversary = ppo or a fairness "
                   "kind (fairness | cross-traffic | late-join); CEM is "
                   "trace-based — use record-traces with adversary = cem");
   }
-  const core::TargetDomain domain = domain_param(ctx);
+  const Target target = resolve_target(ctx);
   const std::size_t steps =
       util::scaled_steps(size_param(ctx, "steps", 80000), 256);
-
-  std::string target_name;
-  rl::PpoAgent agent = [&]() -> rl::PpoAgent {
-    if (domain == core::TargetDomain::kCc) {
-      const core::SenderFactory make_sender = cc_target_factory(ctx);
-      target_name = make_sender()->name();
-      core::CcAdversaryEnv env{cc_env_params(ctx), make_sender};
-      return core::train_adversary(env, core::adversary_ppo_config(domain),
-                                   steps, ctx.seed, nullptr, ctx.pool);
-    }
-    const auto protocol = abr_target_factory(ctx)();
-    target_name = protocol->name();
-    const abr::VideoManifest manifest = job_manifest();
-    core::AbrAdversaryEnv env{manifest, *protocol};
-    return core::train_adversary(env, core::adversary_ppo_config(domain),
-                                 steps, ctx.seed, nullptr, ctx.pool);
-  }();
+  const std::shared_ptr<rl::Env> env = target.make_env();
+  const rl::PpoAgent agent = core::train_adversary(
+      *env, target.config, steps, ctx.seed, nullptr, ctx.pool);
 
   JobResult result;
   result.artifacts.push_back(ctx.artifact("_adversary.ckpt"));
@@ -378,12 +531,13 @@ JobResult run_train_adversary(const JobContext& ctx) {
     result.artifacts.push_back(publish_checkpoint(
         ctx, *store_name, "adversary", result.artifacts.front()));
   }
-  result.note = "PPO adversary vs " + target_name + ", " +
+  const std::string kind = adversary == "ppo" ? "" : adversary + " ";
+  result.note = "PPO " + kind + "adversary vs " + target.label + ", " +
                 std::to_string(steps) + " steps";
   return result;
 }
 
-/// The `from = <train-adversary job>` checkpoint both record paths load.
+/// The `from = <train-adversary job>` checkpoint a PPO-family record loads.
 std::string adversary_checkpoint(const JobContext& ctx) {
   const std::string* from = ctx.job->find("from");
   if (from == nullptr) {
@@ -394,244 +548,59 @@ std::string adversary_checkpoint(const JobContext& ctx) {
 }
 
 JobResult run_record_traces(const JobContext& ctx) {
-  const core::TargetDomain domain = domain_param(ctx);
   const std::string adversary = ctx.job->value_or("adversary", "ppo");
   if (!core::adversary_kinds().contains(adversary)) {
     job_fail(ctx, "unknown adversary '" + adversary + "' (" +
                       core::adversary_kinds().names() + ")");
   }
   const std::size_t count = scaled_count(size_param(ctx, "count", 20));
+  const Target target = resolve_target(ctx);
 
-  if (const auto scenario = core::fairness_scenario_for(adversary)) {
-    const FairnessSetup setup = fairness_setup(ctx, *scenario);
-    const std::string checkpoint = adversary_checkpoint(ctx);
-    core::FairnessAdversaryEnv env{setup.params, setup.factories};
-    rl::PpoAgent agent = core::restore_adversary(
-        env, core::cc_adversary_ppo_config(), checkpoint);
-    const std::vector<core::FairnessEpisodeRecord> episodes =
-        core::record_fairness_episodes(agent, setup.params, setup.factories,
-                                       count, ctx.seed,
-                                       /*deterministic=*/false, ctx.pool);
-    std::vector<trace::Trace> traces;
-    traces.reserve(episodes.size());
-    for (const core::FairnessEpisodeRecord& episode : episodes) {
-      traces.push_back(episode.trace);
-    }
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_traces.csv"));
-    trace::save_trace_set(traces, result.artifacts.back());
-    result.artifacts.push_back(ctx.artifact("_summary.csv"));
-    double mean_jain = 1.0;
-    double mean_victim = 0.0;
-    write_fairness_summary(episodes, setup.factories.size(),
-                           result.artifacts.back(), &mean_jain, &mean_victim);
-    char note[160];
-    std::snprintf(note, sizeof note,
-                  "%zu %s episodes vs %s, mean Jain %.3f, victim util %.1f%%",
-                  episodes.size(), adversary.c_str(),
-                  setup.mix_names.c_str(), mean_jain, 100.0 * mean_victim);
-    result.note = note;
-    return result;
-  }
-
-  if (domain == core::TargetDomain::kCc) {
-    if (adversary != "ppo") {
-      job_fail(ctx, "record-traces with domain = cc supports adversary = ppo "
-                    "only — CEM searches chunk-bandwidth traces, an ABR "
-                    "formulation");
-    }
-    const std::string checkpoint = adversary_checkpoint(ctx);
-    const core::SenderFactory make_sender = cc_target_factory(ctx);
-    const core::CcAdversaryEnv::Params params = cc_env_params(ctx);
-    core::CcAdversaryEnv env{params, make_sender};
-    rl::PpoAgent agent = core::restore_adversary(
-        env, core::adversary_ppo_config(domain), checkpoint);
-    const std::vector<core::CcEpisodeRecord> episodes =
-        core::record_cc_episodes(agent, params, make_sender, count, ctx.seed,
-                                 /*deterministic=*/false, ctx.pool);
-    std::vector<trace::Trace> traces;
-    traces.reserve(episodes.size());
-    for (const core::CcEpisodeRecord& episode : episodes) {
-      traces.push_back(episode.trace);
-    }
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_traces.csv"));
-    trace::save_trace_set(traces, result.artifacts.back());
-    result.artifacts.push_back(ctx.artifact("_summary.csv"));
-    double mean_utilization = 0.0;
-    write_cc_summary(episodes, result.artifacts.back(), &mean_utilization);
-    char note[128];
-    std::snprintf(note, sizeof note,
-                  "%zu cc episodes, mean utilization %.1f%%", episodes.size(),
-                  100.0 * mean_utilization);
-    result.note = note;
-    return result;
-  }
-
-  const abr::VideoManifest manifest = job_manifest();
-  const core::ProtocolFactory make_target = abr_target_factory(ctx);
-  std::vector<trace::Trace> traces;
-
+  Outcome recorded;
   if (adversary == "cem") {
-    core::CemTraceAdversary::Params params;
-    params.population = size_param(ctx, "population", params.population);
-    const std::size_t nominal_iterations =
-        size_param(ctx, "iterations", params.iterations);
-    params.iterations = std::max<std::size_t>(
-        static_cast<std::size_t>(static_cast<double>(nominal_iterations) *
-                                 std::min(1.0, util::bench_scale())),
-        2);
-    const core::CemTraceAdversary cem{params};
-    // One independent CEM search per trace, stream-forked before dispatch:
-    // the corpus is bit-identical at any thread count.
-    std::vector<util::Rng> streams = util::Rng{ctx.seed}.fork_streams(count);
-    traces.resize(count);
-    const auto search_one = [&](std::size_t i) {
-      auto target = make_target();
-      traces[i] = cem.search(manifest, *target, streams[i]).best_trace;
-    };
-    if (ctx.pool != nullptr) {
-      ctx.pool->parallel_for(count, search_one);
-    } else {
-      for (std::size_t i = 0; i < count; ++i) search_one(i);
-    }
+    recorded = target.search(count);
   } else {
     const std::string checkpoint = adversary_checkpoint(ctx);
-    const auto topology_protocol = make_target();
-    core::AbrAdversaryEnv env{manifest, *topology_protocol};
-    rl::PpoAgent agent = core::restore_adversary(
-        env, core::adversary_ppo_config(domain), checkpoint);
-    traces = core::record_abr_traces(agent, manifest, make_target,
-                                     core::AbrAdversaryEnv::Params{}, count,
-                                     ctx.seed, /*deterministic=*/false,
-                                     ctx.pool);
+    const std::shared_ptr<rl::Env> env = target.make_env();
+    recorded = target.record(
+        core::restore_adversary(*env, target.config, checkpoint), count);
   }
 
   JobResult result;
   result.artifacts.push_back(ctx.artifact("_traces.csv"));
-  trace::save_trace_set(traces, result.artifacts.back());
-  double mean_regret = 0.0;
+  trace::save_trace_set(recorded.traces, result.artifacts.back());
   result.artifacts.push_back(ctx.artifact("_summary.csv"));
-  write_summary(manifest, make_target, traces, result.artifacts.back(),
-                &mean_regret);
-  char note[128];
-  std::snprintf(note, sizeof note, "%zu traces, mean regret %.2f QoE",
-                traces.size(), mean_regret);
-  result.note = note;
+  write_table(recorded.table, result.artifacts.back());
+  result.note = recorded.note;
   return result;
 }
 
+/// The trace set a replay or serve job reads: `traces = <trace-set job>` or
+/// `trace_file = <path>`.
+std::vector<trace::Trace> job_traces(const JobContext& ctx) {
+  if (const std::string* set_job = ctx.job->find("traces")) {
+    return trace::load_trace_set(
+        ctx.input_ending_with(*set_job, "_traces.csv"));
+  }
+  if (const std::string* file = ctx.job->find("trace_file")) {
+    return trace::load_trace_set(*file);
+  }
+  job_fail(ctx, ctx.job->kind +
+                    " needs traces = <trace-set job> or trace_file = ...");
+}
+
 JobResult run_replay(const JobContext& ctx) {
-  const core::TargetDomain domain = domain_param(ctx);
-  const std::string* set_job = ctx.job->find("traces");
-  std::string set_path;
-  if (set_job != nullptr) {
-    set_path = ctx.input_ending_with(*set_job, "_traces.csv");
-  } else if (const std::string* file = ctx.job->find("trace_file")) {
-    set_path = *file;
-  } else {
-    job_fail(ctx, "replay needs traces = <trace-set job> or trace_file = ...");
-  }
-  const std::vector<trace::Trace> traces = trace::load_trace_set(set_path);
-
-  // `flows = a,b,...` switches the CC replay to the shared-bottleneck
-  // multi-flow path: the whole mix replays each trace together.
-  if (domain == core::TargetDomain::kCc && ctx.job->find("flows") != nullptr) {
-    std::vector<core::SenderFactory> mix;
-    try {
-      mix = core::resolve_flow_mix(*ctx.job->find("flows"));
-    } catch (const std::exception& e) {
-      job_fail(ctx, e.what());
-    }
-    const double stagger_s = double_param(ctx, "stagger", 0.5);
-    const std::vector<core::FairnessReplayResult> replays =
-        core::replay_fairness_traces(mix, traces, {}, stagger_s, ctx.seed,
-                                     ctx.pool);
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_replay.csv"));
-    util::CsvWriter writer{result.artifacts.back()};
-    std::vector<std::string> header{"trace"};
-    for (std::size_t f = 0; f < mix.size(); ++f) {
-      header.push_back("flow" + std::to_string(f) + "_mbps");
-    }
-    header.emplace_back("jain");
-    header.emplace_back("victim_utilization");
-    header.emplace_back("aggregate_utilization");
-    writer.write_row(header);
-    double jain_total = 0.0;
-    for (std::size_t i = 0; i < replays.size(); ++i) {
-      std::vector<double> row{static_cast<double>(i)};
-      for (double v : replays[i].mean_flow_throughput_mbps) row.push_back(v);
-      row.push_back(replays[i].mean_jain);
-      row.push_back(replays[i].mean_victim_utilization);
-      row.push_back(replays[i].mean_aggregate_utilization);
-      writer.write_row(row);
-      jain_total += replays[i].mean_jain;
-    }
-    char note[128];
-    std::snprintf(
-        note, sizeof note, "%zu multi-flow replays, mean Jain %.3f",
-        replays.size(),
-        replays.empty() ? 1.0
-                        : jain_total / static_cast<double>(replays.size()));
-    result.note = note;
-    return result;
-  }
-
-  if (domain == core::TargetDomain::kCc) {
-    const core::SenderFactory make_sender = cc_target_factory(ctx);
-    const std::vector<core::CcReplayResult> replays =
-        core::replay_cc_traces(make_sender, traces, {}, ctx.seed, ctx.pool);
-    JobResult result;
-    result.artifacts.push_back(ctx.artifact("_replay.csv"));
-    util::CsvWriter writer{result.artifacts.back()};
-    writer.write_row(
-        std::vector<std::string>{"trace", "utilization", "throughput_mbps"});
-    double total = 0.0;
-    for (std::size_t i = 0; i < replays.size(); ++i) {
-      writer.write_row(std::vector<double>{static_cast<double>(i),
-                                           replays[i].mean_utilization,
-                                           replays[i].mean_throughput_mbps});
-      total += replays[i].mean_utilization;
-    }
-    char note[128];
-    std::snprintf(
-        note, sizeof note, "%zu cc replays, mean utilization %.1f%%",
-        replays.size(),
-        replays.empty() ? 0.0
-                        : 100.0 * total / static_cast<double>(replays.size()));
-    result.note = note;
-    return result;
-  }
-
-  const abr::VideoManifest manifest = job_manifest();
-  const std::vector<double> qoe = abr::qoe_per_trace(
-      abr_target_factory(ctx), manifest, traces, {}, ctx.pool);
+  const Target target = resolve_target(ctx);
+  const Outcome replayed = target.replay(job_traces(ctx));
   JobResult result;
-  result.artifacts.push_back(ctx.artifact("_qoe.csv"));
-  util::CsvWriter writer{result.artifacts.back()};
-  writer.write_row(std::vector<std::string>{"trace", "qoe"});
-  for (std::size_t i = 0; i < qoe.size(); ++i) {
-    writer.write_row(std::vector<double>{static_cast<double>(i), qoe[i]});
-  }
-  char note[128];
-  std::snprintf(note, sizeof note, "%zu replays, mean QoE %.2f", qoe.size(),
-                qoe.empty() ? 0.0 : util::mean(qoe));
-  result.note = note;
+  result.artifacts.push_back(ctx.artifact(target.replay_suffix));
+  write_table(replayed.table, result.artifacts.back());
+  result.note = replayed.note;
   return result;
 }
 
 JobResult run_serve(const JobContext& ctx) {
-  const std::string* set_job = ctx.job->find("traces");
-  std::string set_path;
-  if (set_job != nullptr) {
-    set_path = ctx.input_ending_with(*set_job, "_traces.csv");
-  } else if (const std::string* file = ctx.job->find("trace_file")) {
-    set_path = *file;
-  } else {
-    job_fail(ctx, "serve needs traces = <trace-set job> or trace_file = ...");
-  }
-  std::vector<trace::Trace> traces = trace::load_trace_set(set_path);
+  std::vector<trace::Trace> traces = job_traces(ctx);
 
   const std::string qoe_name = ctx.job->value_or("qoe", "lin");
   std::unique_ptr<abr::QoeModel> qoe;
@@ -662,8 +631,8 @@ JobResult run_serve(const JobContext& ctx) {
     serve::PensieveBatchPolicy policy{agent};
     summaries = engine.run(policy, *qoe, sessions, ctx.pool, &stats);
   } else {
-    summaries = engine.run(abr_target_factory(ctx), *qoe, sessions, ctx.pool,
-                           &stats);
+    summaries = engine.run(target_factory(ctx, core::abr_protocols()), *qoe,
+                           sessions, ctx.pool, &stats);
   }
 
   double qoe_total = 0.0;
@@ -671,14 +640,11 @@ JobResult run_serve(const JobContext& ctx) {
   JobResult result;
   result.artifacts.push_back(ctx.artifact("_sessions.csv"));
   serve::save_session_summaries(summaries, result.artifacts.back());
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "%zu sessions x %zu traces, mean %s QoE %.2f (%.0f "
-                "decisions/s)",
-                summaries.size(), engine.traces().size(), qoe->name().c_str(),
-                qoe_total / static_cast<double>(summaries.size()),
-                stats.decisions_per_s());
-  result.note = note;
+  result.note = note_printf(
+      "%zu sessions x %zu traces, mean %s QoE %.2f (%.0f decisions/s)",
+      summaries.size(), engine.traces().size(), qoe->name().c_str(),
+      qoe_total / static_cast<double>(summaries.size()),
+      stats.decisions_per_s());
   return result;
 }
 
@@ -774,11 +740,9 @@ JobResult run_robustify_round(const JobContext& ctx) {
         static_cast<double>(env.traces().size()),
         static_cast<double>(round.adversarial_traces.size())});
   }
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "eval mean QoE %.2f, p5 %.2f (%zu adversarial traces added)",
-                mean_qoe, p5_qoe, round.adversarial_traces.size());
-  result.note = note;
+  result.note = note_printf(
+      "eval mean QoE %.2f, p5 %.2f (%zu adversarial traces added)", mean_qoe,
+      p5_qoe, round.adversarial_traces.size());
   return result;
 }
 
@@ -869,12 +833,9 @@ JobResult run_train_protocol(const JobContext& ctx) {
     result.artifacts.push_back(publish_checkpoint(ctx, *store_name, "protocol",
                                                   result.artifacts.front()));
   }
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "%zu steps on %zu traces (%zu/%zu exploiter sets)",
-                cfg.protocol_steps, env.traces().size(), exploit_used,
-                exploit.size());
-  result.note = note;
+  result.note = note_printf(
+      "%zu steps on %zu traces (%zu/%zu exploiter sets)", cfg.protocol_steps,
+      env.traces().size(), exploit_used, exploit.size());
   return result;
 }
 
@@ -910,13 +871,10 @@ JobResult run_eval_matrix(const JobContext& ctx) {
   result.artifacts.push_back(ctx.artifact("_worst.csv"));
   core::save_eval_worst(matrix, result.artifacts.back());
   const std::size_t best = matrix.least_exploitable();
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "%zux%zu regret matrix, least exploitable %s "
-                "(worst-case QoE %.2f)",
-                rows.size(), columns.size(),
-                matrix.checkpoints[best].c_str(), matrix.worst_case_qoe(best));
-  result.note = note;
+  result.note = note_printf(
+      "%zux%zu regret matrix, least exploitable %s (worst-case QoE %.2f)",
+      rows.size(), columns.size(), matrix.checkpoints[best].c_str(),
+      matrix.worst_case_qoe(best));
   return result;
 }
 
@@ -975,12 +933,10 @@ JobResult run_promote(const JobContext& ctx) {
     result.artifacts.push_back(publish_checkpoint(ctx, *store_name, "protocol",
                                                   result.artifacts.front()));
   }
-  char note[160];
-  std::snprintf(note, sizeof note,
-                "promoted %s (worst-case QoE %.2f, regret %.2f)",
-                checkpoints[best].c_str(), worst.rows[best][2],
-                worst.rows[best][1]);
-  result.note = note;
+  result.note =
+      note_printf("promoted %s (worst-case QoE %.2f, regret %.2f)",
+                  checkpoints[best].c_str(), worst.rows[best][2],
+                  worst.rows[best][1]);
   return result;
 }
 

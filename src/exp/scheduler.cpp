@@ -297,12 +297,10 @@ CampaignReport run_campaign(const Campaign& campaign,
   };
 
   for (const auto& wave : waves) {
-    if (options.pool != nullptr && wave.size() > 1) {
-      options.pool->parallel_for(
-          wave.size(), [&](std::size_t i) { run_job(wave[i]); });
-    } else {
-      for (const std::size_t j : wave) run_job(j);
-    }
+    // A lone job runs on the caller, so its own fan-outs get the whole pool
+    // (a parallel_for nested inside a pool task runs inline).
+    util::parallel_for(wave.size() > 1 ? options.pool : nullptr, wave.size(),
+                       [&](std::size_t i) { run_job(wave[i]); });
   }
 
   for (const auto& outcome : report.outcomes) {

@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "util/spec.hpp"
+
 namespace netadv::rl {
 
 namespace {
@@ -16,15 +18,42 @@ void write_vector(std::ostream& out, const std::string& key,
   out << '\n';
 }
 
-std::vector<double> read_vector(std::istream& in, const std::string& expected_key) {
-  std::string key;
-  std::size_t n = 0;
-  if (!(in >> key >> n) || key != expected_key) {
-    throw std::runtime_error{"checkpoint: expected key '" + expected_key + "'"};
+[[noreturn]] void load_fail(const std::string& path, const std::string& what) {
+  throw std::runtime_error{"load_checkpoint: " + path + ": " + what};
+}
+
+void expect_key(std::istream& in, const std::string& path,
+                const std::string& key) {
+  std::string got;
+  if (!(in >> got) || got != key) {
+    load_fail(path, "expected field '" + key + "'");
+  }
+}
+
+/// The next token as a count. Parsed strictly: `in >> std::size_t` would
+/// wrap "-3" to 2^64 - 3.
+std::size_t read_count(std::istream& in, const std::string& path,
+                       const std::string& field) {
+  std::string token;
+  const auto n = in >> token ? util::parse_u64(token) : std::nullopt;
+  if (!n) load_fail(path, field + ": missing or malformed count");
+  return static_cast<std::size_t>(*n);
+}
+
+/// Read `<key> <n> <v1> ... <vn>` where n must equal `expected` — checked
+/// before anything is allocated, so a corrupt count fails by name instead
+/// of sizing a vector from the file.
+std::vector<double> read_vector(std::istream& in, const std::string& path,
+                                const std::string& key, std::size_t expected) {
+  expect_key(in, path, key);
+  const std::size_t n = read_count(in, path, key);
+  if (n != expected) {
+    load_fail(path, key + " has " + std::to_string(n) +
+                        " values, the agent needs " + std::to_string(expected));
   }
   std::vector<double> values(n);
   for (auto& v : values) {
-    if (!(in >> v)) throw std::runtime_error{"checkpoint: truncated vector " + key};
+    if (!(in >> v)) load_fail(path, key + ": truncated");
   }
   return values;
 }
@@ -40,8 +69,9 @@ CheckpointMeta read_meta_block(std::istream& in, const std::string& path) {
   }
   std::string line;
   std::getline(in, line);  // consume the rest of the `meta <n>` line
+  // No reserve(n): n comes from the file, so the loop (which stops at the
+  // first missing line) bounds what a corrupt count can allocate.
   CheckpointMeta meta;
-  meta.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     if (!std::getline(in, line)) {
       throw std::runtime_error{"load_checkpoint: truncated meta block in " +
@@ -117,49 +147,53 @@ void load_checkpoint(PpoAgent& agent, const std::string& path) {
     read_meta_block(in, path);
   }
 
-  std::string key;
-  std::size_t obs_size = 0;
-  if (!(in >> key >> obs_size) || key != "obs_size" ||
-      obs_size != agent.observation_size()) {
-    throw std::runtime_error{"load_checkpoint: observation size mismatch"};
+  expect_key(in, path, "obs_size");
+  const std::size_t obs_size = read_count(in, path, "obs_size");
+  if (obs_size != agent.observation_size()) {
+    load_fail(path, "obs_size " + std::to_string(obs_size) +
+                        " does not match the agent's " +
+                        std::to_string(agent.observation_size()));
   }
 
+  expect_key(in, path, "action");
   std::string action_kind;
-  std::size_t action_n = 0;
-  if (!(in >> key >> action_kind >> action_n) || key != "action") {
-    throw std::runtime_error{"load_checkpoint: missing action spec"};
-  }
+  if (!(in >> action_kind)) load_fail(path, "action: missing kind");
+  const std::size_t action_n = read_count(in, path, "action");
   const auto& spec = agent.action_spec();
   const bool discrete = spec.type == ActionType::kDiscrete;
   if ((discrete && (action_kind != "discrete" || action_n != spec.num_actions)) ||
       (!discrete && (action_kind != "continuous" || action_n != spec.low.size()))) {
-    throw std::runtime_error{"load_checkpoint: action space mismatch"};
+    load_fail(path, "action space mismatch");
   }
 
-  const auto actor = read_vector(in, "actor");
-  if (actor.size() != agent.actor().param_count()) {
-    throw std::runtime_error{"load_checkpoint: actor parameter count mismatch"};
+  // Parse everything before touching the agent: a file that fails partway
+  // leaves it as it was.
+  const std::size_t obs_dim = agent.observation_size();
+  const auto actor =
+      read_vector(in, path, "actor", agent.actor().param_count());
+  const auto critic =
+      read_vector(in, path, "critic", agent.critic().param_count());
+  auto log_std = read_vector(in, path, "log_std", agent.log_std().size());
+  auto obs_mean = read_vector(in, path, "obs_mean", obs_dim);
+  const std::string second_key = version == "v1" ? "obs_var" : "obs_m2";
+  auto obs_second = read_vector(in, path, second_key, obs_dim);
+  for (const double v : obs_second) {
+    // A negative second moment would make normalize() take sqrt of a
+    // negative number and emit NaN observations.
+    if (!(v >= 0.0)) {
+      load_fail(path, second_key + " has a negative entry " +
+                          std::to_string(v));
+    }
   }
+  expect_key(in, path, "obs_count");
+  const std::size_t obs_count = read_count(in, path, "obs_count");
+  if (char extra = 0; in >> extra) {
+    load_fail(path, "trailing content after obs_count");
+  }
+
   std::copy(actor.begin(), actor.end(), agent.actor().params().begin());
-
-  const auto critic = read_vector(in, "critic");
-  if (critic.size() != agent.critic().param_count()) {
-    throw std::runtime_error{"load_checkpoint: critic parameter count mismatch"};
-  }
   std::copy(critic.begin(), critic.end(), agent.critic().params().begin());
-
-  const auto log_std = read_vector(in, "log_std");
-  if (log_std.size() != agent.log_std().size()) {
-    throw std::runtime_error{"load_checkpoint: log_std size mismatch"};
-  }
-  agent.log_std() = log_std;
-
-  auto obs_mean = read_vector(in, "obs_mean");
-  auto obs_second = read_vector(in, version == "v1" ? "obs_var" : "obs_m2");
-  std::size_t obs_count = 0;
-  if (!(in >> key >> obs_count) || key != "obs_count") {
-    throw std::runtime_error{"load_checkpoint: missing obs_count"};
-  }
+  agent.log_std() = std::move(log_std);
   if (version == "v1") {
     agent.obs_normalizer().restore(std::move(obs_mean), std::move(obs_second),
                                    obs_count);

@@ -60,12 +60,7 @@ class ThreadPool {
   /// use parallel_for over a vector of std::optional slots instead.
   template <typename Fn>
   auto parallel_map(std::size_t n, Fn&& fn)
-      -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
-    using R = std::decay_t<std::invoke_result_t<Fn&, std::size_t>>;
-    std::vector<R> out(n);
-    parallel_for(n, [&](std::size_t i) { out[i] = fn(i); });
-    return out;
-  }
+      -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>>;
 
   /// Process-wide pool sized by the NETADV_THREADS environment variable
   /// (default: hardware concurrency). Benches and the fig pipelines share it
@@ -94,5 +89,35 @@ class ThreadPool {
   bool in_batch_ = false;
   bool stop_ = false;
 };
+
+/// The nullable-pool form every optional fan-out uses: `pool->parallel_for`
+/// when a pool is given, else a plain in-order loop on the caller (whose
+/// first throwing task ends the loop and propagates). Either way body(i)
+/// runs once per index, so callers obeying the determinism contract get
+/// the same result with or without a pool.
+template <typename Body>
+void parallel_for(ThreadPool* pool, std::size_t n, Body&& body) {
+  if (pool != nullptr) {
+    pool->parallel_for(n, body);
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) body(i);
+}
+
+/// parallel_for(pool, ...) collecting fn(i) into slot i (the nullable-pool
+/// ThreadPool::parallel_map).
+template <typename Fn>
+auto parallel_map(ThreadPool* pool, std::size_t n, Fn&& fn)
+    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
+  std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> out(n);
+  parallel_for(pool, n, [&](std::size_t i) { out[i] = fn(i); });
+  return out;
+}
+
+template <typename Fn>
+auto ThreadPool::parallel_map(std::size_t n, Fn&& fn)
+    -> std::vector<std::decay_t<std::invoke_result_t<Fn&, std::size_t>>> {
+  return util::parallel_map(this, n, fn);
+}
 
 }  // namespace netadv::util

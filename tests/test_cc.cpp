@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "cc/bbr.hpp"
 #include "cc/cubic.hpp"
@@ -154,6 +157,41 @@ TEST(LinkSim, ValidatesConditions) {
   EXPECT_THROW(link.set_conditions({0.0, 10.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(link.set_conditions({1.0, -1.0, 0.0}), std::invalid_argument);
   EXPECT_THROW(link.set_conditions({1.0, 10.0, 1.5}), std::invalid_argument);
+}
+
+TEST(LinkSim, RejectsNonFiniteConditionsNamingTheField) {
+  // NaN is false under every comparison, so a range check written as
+  // "reject if below the floor" lets it through; ±inf is no link either.
+  const double bad_values[] = {std::nan(""), INFINITY, -INFINITY};
+  const LinkConditions good{12.0, 30.0, 0.01};
+  for (const double bad : bad_values) {
+    LinkConditions bandwidth = good;
+    bandwidth.bandwidth_mbps = bad;
+    LinkConditions delay = good;
+    delay.one_way_delay_ms = bad;
+    LinkConditions loss = good;
+    loss.loss_rate = bad;
+    const std::pair<LinkConditions, const char*> cases[] = {
+        {bandwidth, "bandwidth_mbps"},
+        {delay, "one_way_delay_ms"},
+        {loss, "loss_rate"}};
+    for (const auto& [conditions, field] : cases) {
+      LinkSim link{benign_link()};
+      try {
+        link.set_conditions(conditions);
+        ADD_FAILURE() << field << " = " << bad << " was accepted";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string{e.what()}.find(field), std::string::npos)
+            << e.what();
+      }
+      // The rejected update leaves the previous conditions in force.
+      EXPECT_EQ(link.conditions().bandwidth_mbps, 12.0);
+      // The constructor's initial conditions go through the same check.
+      LinkSim::Params params = benign_link();
+      params.initial = conditions;
+      EXPECT_THROW(LinkSim{params}, std::invalid_argument) << field;
+    }
+  }
 }
 
 TEST(LinkSim, ResetClearsBacklog) {

@@ -360,6 +360,62 @@ TEST(Recorder, CcEpisodeRecordHasConsistentSeries) {
   }
 }
 
+TEST(Recorder, WildPolicyActionsStayInsideTheActionSpec) {
+  // A policy whose log_std is pushed far up samples raw actions of order
+  // 1e8; every physical condition the CC and fairness recorders apply (and
+  // write into the replayable trace) must still be finite and inside the
+  // ActionSpec's Table-1 bounds.
+  const auto expect_in_spec = [](const rl::ActionSpec& spec,
+                                 const std::vector<double>& values,
+                                 std::size_t k) {
+    ASSERT_FALSE(values.empty());
+    for (const double v : values) {
+      EXPECT_TRUE(std::isfinite(v)) << "action " << k;
+      EXPECT_GE(v, spec.low[k]) << "action " << k;
+      EXPECT_LE(v, spec.high[k]) << "action " << k;
+    }
+  };
+  const auto wild_agent = [](const rl::Env& env) {
+    rl::PpoAgent agent{env.observation_size(), env.action_spec(),
+                       cc_adversary_ppo_config(), 61};
+    for (double& s : agent.log_std()) s = 20.0;
+    return agent;
+  };
+
+  CcAdversaryEnv::Params cc_params;
+  cc_params.episode_duration_s = 0.6;
+  const CcAdversaryEnv cc_env{cc_params};
+  const rl::ActionSpec cc_spec = cc_env.action_spec();
+  for (const CcEpisodeRecord& r : record_cc_episodes(
+           wild_agent(cc_env), cc_params, nullptr, 3, 62)) {
+    double widest = 0.0;
+    for (const double raw : r.raw_bandwidth) {
+      widest = std::max(widest, std::abs(raw));
+    }
+    EXPECT_GT(widest, 1e3);  // the policy really is wild
+    expect_in_spec(cc_spec, r.bandwidth_mbps, 0);
+    expect_in_spec(cc_spec, r.latency_ms, 1);
+    expect_in_spec(cc_spec, r.loss_rate, 2);
+  }
+
+  FairnessAdversaryEnv::Params fair_params;
+  fair_params.episode_duration_s = 0.6;
+  fair_params.stagger_s = 0.1;
+  const FairnessAdversaryEnv fair_env{fair_params};
+  const rl::ActionSpec fair_spec = fair_env.action_spec();
+  for (const FairnessEpisodeRecord& r : record_fairness_episodes(
+           wild_agent(fair_env), fair_params, {}, 3, 63)) {
+    expect_in_spec(fair_spec, r.bandwidth_mbps, 0);
+    expect_in_spec(fair_spec, r.latency_ms, 1);
+    expect_in_spec(fair_spec, r.loss_rate, 2);
+    std::vector<double> bandwidth;
+    for (const trace::Segment& s : r.trace.segments()) {
+      bandwidth.push_back(s.bandwidth_mbps);
+    }
+    expect_in_spec(fair_spec, bandwidth, 0);
+  }
+}
+
 TEST(Recorder, ReplayCcTraceRuns) {
   trace::Trace t;
   for (int i = 0; i < 20; ++i) t.append({0.030, 12.0, 30.0, 0.0});
@@ -392,7 +448,8 @@ TEST(EndToEnd, TrainedAbrAdversaryBeatsRandomTracesAgainstBb) {
   abr::BufferBased bb;
   AbrAdversaryEnv env{m, bb};
 
-  rl::PpoAgent adversary = train_abr_adversary(env, 24576, 51);
+  rl::PpoAgent adversary =
+      train_adversary(env, abr_adversary_ppo_config(), 24576, 51);
 
   // Regret (optimal - protocol QoE) on 20 adversarial vs 20 random traces.
   Rng rng{53};

@@ -1,10 +1,10 @@
 // Determinism gates for the parallel execution layer: the same seed must
 // produce bit-identical results at thread counts 1, 2, and 8 — replayed QoE
-// vectors, CC replay metrics, VecEnv trajectories, trained PPO
-// parameters through the shadow-buffer gradient path, concurrently trained
-// adversaries, and batch-recorded adversarial corpora. Also covers
-// ThreadPool semantics (coverage, ordering, exception propagation) and the
-// batched gemm forward path.
+// vectors, CC and multi-flow fairness replay metrics, VecEnv trajectories,
+// trained PPO parameters through the shadow-buffer gradient path,
+// concurrently trained adversaries, and batch-recorded ABR, CC and fairness
+// corpora. Also covers ThreadPool semantics (coverage, ordering, exception
+// propagation, with and without a pool) and the batched gemm forward path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,11 +12,13 @@
 #include <cmath>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "abr/bb.hpp"
 #include "abr/mpc.hpp"
 #include "abr/runner.hpp"
+#include "cc/bbr.hpp"
 #include "cc/cubic.hpp"
 #include "core/recorder.hpp"
 #include "core/trainer.hpp"
@@ -35,35 +37,66 @@ using namespace netadv;
 
 const std::size_t kThreadCounts[] = {1, 2, 8};
 
+/// Pools at every gated thread count, plus nullptr: the sequential lane of
+/// the nullable-pool util::parallel_for / parallel_map.
+std::vector<std::unique_ptr<util::ThreadPool>> pools_and_null() {
+  std::vector<std::unique_ptr<util::ThreadPool>> pools;
+  pools.push_back(nullptr);
+  for (std::size_t threads : kThreadCounts) {
+    pools.push_back(std::make_unique<util::ThreadPool>(threads));
+  }
+  return pools;
+}
+
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
-  util::ThreadPool pool{4};
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  for (const auto& pool : pools_and_null()) {
+    std::vector<std::atomic<int>> hits(257);
+    util::parallel_for(pool.get(), hits.size(),
+                       [&](std::size_t i) { ++hits[i]; });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  }
 }
 
 TEST(ThreadPool, MapReturnsResultsInIndexOrder) {
-  for (std::size_t threads : kThreadCounts) {
-    util::ThreadPool pool{threads};
-    const auto out =
-        pool.parallel_map(100, [](std::size_t i) { return 3 * i + 1; });
+  for (const auto& pool : pools_and_null()) {
+    const auto out = util::parallel_map(
+        pool.get(), 100, [](std::size_t i) { return 3 * i + 1; });
     ASSERT_EQ(out.size(), 100u);
     for (std::size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], 3 * i + 1);
+    if (pool) {
+      EXPECT_EQ(pool->parallel_map(100, [](std::size_t i) { return 3 * i + 1; }),
+                out);
+    }
   }
 }
 
 TEST(ThreadPool, PropagatesTaskExceptions) {
-  util::ThreadPool pool{4};
-  EXPECT_THROW(pool.parallel_for(64,
-                                 [](std::size_t i) {
-                                   if (i == 13) {
-                                     throw std::runtime_error{"boom"};
-                                   }
-                                 }),
-               std::runtime_error);
-  // The pool must stay usable after an exceptional batch.
-  const auto out = pool.parallel_map(8, [](std::size_t i) { return i; });
-  EXPECT_EQ(out.size(), 8u);
+  for (const auto& pool : pools_and_null()) {
+    EXPECT_THROW(util::parallel_for(pool.get(), 64,
+                                    [](std::size_t i) {
+                                      if (i == 13) {
+                                        throw std::runtime_error{"boom"};
+                                      }
+                                    }),
+                 std::runtime_error);
+    // The pool must stay usable after an exceptional batch.
+    const auto out =
+        util::parallel_map(pool.get(), 8, [](std::size_t i) { return i; });
+    EXPECT_EQ(out.size(), 8u);
+  }
+  // Without a pool the loop runs in index order, so the first task to throw
+  // is the lowest throwing index, and nothing after it runs.
+  std::vector<int> ran(64, 0);
+  try {
+    util::parallel_for(nullptr, ran.size(), [&](std::size_t i) {
+      ran[i] = 1;
+      if (i == 13 || i == 40) throw std::runtime_error{std::to_string(i)};
+    });
+    ADD_FAILURE() << "no exception";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "13");
+  }
+  EXPECT_EQ(std::count(ran.begin(), ran.end(), 1), 14);
 }
 
 TEST(ThreadPool, ReentrantParallelForRunsInline) {
@@ -146,18 +179,30 @@ TEST(ParallelReplay, AbrQoeIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelReplay, CcReplayIdenticalAcrossThreadCounts) {
+/// Eight random traces cut to their first six segments, so the
+/// packet-level sims stay cheap.
+std::vector<trace::Trace> short_random_traces() {
   trace::UniformRandomGenerator gen{{}};
   util::Rng rng{99};
   std::vector<trace::Trace> traces;
   for (const auto& full : gen.generate_many(8, rng)) {
-    // Keep only a few segments per trace so the packet-level sim stays cheap.
     const std::size_t keep = std::min<std::size_t>(6, full.size());
     std::vector<trace::Segment> head(full.segments().begin(),
                                      full.segments().begin() +
                                          static_cast<std::ptrdiff_t>(keep));
     traces.emplace_back(std::move(head));
   }
+  return traces;
+}
+
+/// A two-flow BBR + Cubic mix for the fairness gates.
+std::vector<core::SenderFactory> bbr_cubic_mix() {
+  return {[] { return std::make_unique<cc::BbrSender>(); },
+          [] { return std::make_unique<cc::CubicSender>(); }};
+}
+
+TEST(ParallelReplay, CcReplayIdenticalAcrossThreadCounts) {
+  const std::vector<trace::Trace> traces = short_random_traces();
 
   auto replay_at = [&](std::size_t threads) {
     util::ThreadPool pool{threads};
@@ -177,6 +222,33 @@ TEST(ParallelReplay, CcReplayIdenticalAcrossThreadCounts) {
       EXPECT_EQ(results[i].mean_throughput_mbps,
                 reference[i].mean_throughput_mbps);
       EXPECT_EQ(results[i].throughput_mbps, reference[i].throughput_mbps);
+    }
+  }
+}
+
+TEST(ParallelReplay, FairnessReplayIdenticalAcrossThreadCounts) {
+  const std::vector<trace::Trace> traces = short_random_traces();
+  const std::vector<core::SenderFactory> mix = bbr_cubic_mix();
+  const auto replay_at = [&](util::ThreadPool* pool) {
+    return core::replay_fairness_traces(mix, traces, {}, /*stagger_s=*/0.2,
+                                        /*seed=*/5, pool);
+  };
+  const auto reference = replay_at(nullptr);
+  ASSERT_EQ(reference.size(), traces.size());
+  for (std::size_t threads : kThreadCounts) {
+    util::ThreadPool pool{threads};
+    const auto results = replay_at(&pool);
+    ASSERT_EQ(results.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+      EXPECT_EQ(results[i].mean_jain, reference[i].mean_jain);
+      EXPECT_EQ(results[i].mean_victim_utilization,
+                reference[i].mean_victim_utilization);
+      EXPECT_EQ(results[i].mean_aggregate_utilization,
+                reference[i].mean_aggregate_utilization);
+      EXPECT_EQ(results[i].mean_flow_throughput_mbps,
+                reference[i].mean_flow_throughput_mbps);
+      EXPECT_EQ(results[i].jain, reference[i].jain)
+          << "trace " << i << " at " << threads << " threads";
     }
   }
 }
@@ -337,9 +409,9 @@ std::vector<rl::PpoAgent> train_adversary_pair_at(util::ThreadPool* pool) {
   core::AbrAdversaryEnv env0{m, bb0};
   core::AbrAdversaryEnv env1{m, bb1};
   // One PPO update each (n_steps = 2048 in the adversary config).
-  return core::train_abr_adversaries(
-      {{.env = &env0, .steps = 1, .seed = 7},
-       {.env = &env1, .steps = 1, .seed = 13}},
+  return core::train_adversaries(
+      {{&env0, core::abr_adversary_ppo_config(), 1, 7},
+       {&env1, core::abr_adversary_ppo_config(), 1, 13}},
       pool);
 }
 
@@ -420,6 +492,49 @@ TEST(ParallelRecorders, CcEpisodeBatchIdenticalAcrossThreadCounts) {
       EXPECT_EQ(records[i].utilization, reference[i].utilization);
       EXPECT_EQ(records[i].bbr_mode, reference[i].bbr_mode);
       EXPECT_EQ(records[i].mean_utilization, reference[i].mean_utilization)
+          << "episode " << i << " at " << threads << " threads";
+    }
+  }
+}
+
+std::vector<core::FairnessEpisodeRecord> record_fairness_batch_at(
+    util::ThreadPool* pool) {
+  // Late-join draws each episode's arrival from its own stream, so the gate
+  // also covers per-episode randomness beyond the policy's samples.
+  core::FairnessAdversaryEnv::Params params;
+  params.scenario = core::FairnessAdversaryEnv::Scenario::kLateJoin;
+  params.episode_duration_s = 0.9;  // 30 epochs keeps the packet sim cheap
+  params.stagger_s = 0.1;
+  params.late_join_min_s = 0.1;
+  params.late_join_max_s = 0.3;
+  const core::FairnessAdversaryEnv probe{params, bbr_cubic_mix()};
+  rl::PpoConfig cfg;
+  cfg.hidden_sizes = {4};
+  rl::PpoAgent agent{probe.observation_size(), probe.action_spec(), cfg, 65};
+  return core::record_fairness_episodes(agent, params, bbr_cubic_mix(),
+                                        /*count=*/4, /*seed=*/654,
+                                        /*deterministic=*/false, pool);
+}
+
+TEST(ParallelRecorders, FairnessEpisodeBatchIdenticalAcrossThreadCounts) {
+  const auto reference = record_fairness_batch_at(nullptr);
+  ASSERT_EQ(reference.size(), 4u);
+  ASSERT_FALSE(reference[0].jain.empty());
+  for (std::size_t threads : kThreadCounts) {
+    util::ThreadPool pool{threads};
+    const auto records = record_fairness_batch_at(&pool);
+    ASSERT_EQ(records.size(), reference.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(records[i].bandwidth_mbps, reference[i].bandwidth_mbps);
+      EXPECT_EQ(records[i].latency_ms, reference[i].latency_ms);
+      EXPECT_EQ(records[i].loss_rate, reference[i].loss_rate);
+      EXPECT_EQ(records[i].flow_throughput_mbps,
+                reference[i].flow_throughput_mbps);
+      EXPECT_EQ(records[i].jain, reference[i].jain);
+      EXPECT_EQ(records[i].victim_utilization,
+                reference[i].victim_utilization);
+      EXPECT_EQ(records[i].late_join_time_s, reference[i].late_join_time_s);
+      EXPECT_EQ(records[i].mean_jain, reference[i].mean_jain)
           << "episode " << i << " at " << threads << " threads";
     }
   }

@@ -2,6 +2,7 @@
 // environments with known optima, and checkpoints must round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -260,6 +261,130 @@ TEST(Checkpoint, MissingFileThrows) {
   PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 37};
   EXPECT_THROW(load_checkpoint(agent, "/nonexistent/ckpt.txt"),
                std::runtime_error);
+}
+
+// --- corrupt checkpoints ---------------------------------------------------
+
+/// A temp path private to the running test (ctest runs tests in parallel).
+std::string test_temp_path(const std::string& stem) {
+  const std::string test =
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+  return (std::filesystem::temp_directory_path() /
+          ("netadv_" + stem + "_" + test + ".txt"))
+      .string();
+}
+
+/// A trained discrete agent's checkpoint text (count >= 2, so obs_m2 holds
+/// real second moments).
+std::string trained_checkpoint_text() {
+  ContextualBanditEnv env{2, 3, 16};
+  PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 29};
+  agent.train(env, 256);
+  const std::string path = test_temp_path("ckpt_good");
+  save_checkpoint(agent, path);
+  std::string text = read_file(path);
+  std::remove(path.c_str());
+  return text;
+}
+
+/// Loading `text` must throw std::runtime_error naming the file and
+/// `field`, and must leave the agent's parameters untouched.
+void expect_load_rejects(const std::string& text, const std::string& field,
+                         const std::string& tag) {
+  const std::string path = test_temp_path("ckpt_corrupt");
+  {
+    std::ofstream out{path, std::ios::binary};
+    out << text;
+  }
+  ContextualBanditEnv env{2, 3, 16};
+  PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 5};
+  const std::vector<double> before(agent.actor().params().begin(),
+                                   agent.actor().params().end());
+  try {
+    load_checkpoint(agent, path);
+    ADD_FAILURE() << tag << ": corrupt checkpoint loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find(path), std::string::npos) << tag << ": " << what;
+    EXPECT_NE(what.find(field), std::string::npos) << tag << ": " << what;
+  }
+  EXPECT_TRUE(std::equal(before.begin(), before.end(),
+                         agent.actor().params().begin()))
+      << tag << ": a failed load modified the agent";
+  std::remove(path.c_str());
+}
+
+/// `text` with the line starting `key ` replaced by `line`.
+std::string with_line(const std::string& text, const std::string& key,
+                      const std::string& line) {
+  const std::size_t start = text.find("\n" + key + " ") + 1;
+  const std::size_t end = text.find('\n', start);
+  return text.substr(0, start) + line + text.substr(end);
+}
+
+TEST(Checkpoint, TruncatedAtEachFieldFailsNamingPathAndField) {
+  const std::string text = trained_checkpoint_text();
+  for (const std::string field : {"obs_size", "action", "actor", "critic",
+                                  "log_std", "obs_mean", "obs_m2",
+                                  "obs_count"}) {
+    // Cut just before the field, right after its key, and halfway through
+    // its line.
+    const std::size_t start = text.find("\n" + field + " ") + 1;
+    ASSERT_NE(start, 0u) << field;
+    const std::size_t half = (text.find('\n', start) - start) / 2;
+    expect_load_rejects(text.substr(0, start), field, "before " + field);
+    expect_load_rejects(text.substr(0, start + field.size() + 1), field,
+                        "after the key of " + field);
+    expect_load_rejects(text.substr(0, start + half), field,
+                        "halfway through " + field);
+  }
+}
+
+TEST(Checkpoint, CorruptCountFailsBeforeAllocating) {
+  const std::string text = trained_checkpoint_text();
+  // A bit-flipped count: the parser must compare it with the agent's
+  // topology, not size a vector from it.
+  expect_load_rejects(with_line(text, "actor", "actor 18446744073709551615"),
+                      "actor", "huge actor count");
+  expect_load_rejects(with_line(text, "critic", "critic 3 1 2 3"), "critic",
+                      "short critic count");
+  expect_load_rejects(with_line(text, "obs_mean", "obs_mean 3 0 0 0"),
+                      "obs_mean", "obs_mean count");
+  // Counts parse strictly: a sign is corruption, not a huge number.
+  expect_load_rejects(with_line(text, "obs_count", "obs_count -3"),
+                      "obs_count", "negative obs_count");
+  // The v3 meta block's count is not checked against anything, so a corrupt
+  // one must stop at the first missing line rather than reserve.
+  const std::string v3 = "netadv-ppo-checkpoint v3\nmeta 18446744073709551615\n"
+                         "job x\n" +
+                         text.substr(text.find('\n') + 1);
+  expect_load_rejects(v3, "meta", "huge meta count");
+}
+
+TEST(Checkpoint, NegativeSecondMomentIsRejected) {
+  const std::string text = trained_checkpoint_text();
+  expect_load_rejects(with_line(text, "obs_m2", "obs_m2 2 4 -1e-3"), "obs_m2",
+                      "negative m2");
+  // The legacy v1 variance field gets the same check.
+  std::string v1 = with_line(text, "obs_m2", "obs_var 2 1 -4");
+  v1.replace(0, v1.find('\n'), "netadv-ppo-checkpoint v1");
+  expect_load_rejects(v1, "obs_var", "negative v1 variance");
+}
+
+TEST(Checkpoint, TrailingContentIsRejected) {
+  const std::string text = trained_checkpoint_text();
+  expect_load_rejects(text + "obs_count 7\n", "trailing", "repeated field");
+  expect_load_rejects(text + "x", "trailing", "stray byte");
+  // Trailing whitespace alone is not content.
+  const std::string path = test_temp_path("ckpt_ws");
+  {
+    std::ofstream out{path, std::ios::binary};
+    out << text << "\n  \n";
+  }
+  ContextualBanditEnv env{2, 3, 16};
+  PpoAgent agent{env.observation_size(), env.action_spec(), small_config(), 5};
+  EXPECT_NO_THROW(load_checkpoint(agent, path));
+  std::remove(path.c_str());
 }
 
 // --- rollout activation cache ---------------------------------------------
